@@ -194,6 +194,7 @@ void fem1_contrast() {
 
   support::Table table("FEM-1 baseline: static array of 36 processors");
   table.set_header({"failed PEs", "strategy", "status", "cycles"});
+  std::size_t index = 0;
   for (const auto& [failed, repartition] :
        {std::tuple<std::size_t, bool>{0, false},
         {1, false},
@@ -213,6 +214,12 @@ void fem1_contrast() {
                   ? (result.converged ? "completed" : "no convergence")
                   : "STALLED")
         .cell(static_cast<std::uint64_t>(result.elapsed));
+    // A stalled case reads 0 cycles and 0 sweeps.
+    const std::string prefix = "fem1_" + std::to_string(index++);
+    bench::note(prefix + "_cycles", static_cast<double>(result.elapsed),
+                "cycles");
+    bench::note(prefix + "_sweeps", static_cast<double>(result.iterations),
+                "iters");
   }
   table.print(std::cout);
 }

@@ -1,5 +1,6 @@
 #include "fem/assembly.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -57,23 +58,51 @@ void element_global_dofs(const Element& element, const DofMap& map,
 
 std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
     const StructureModel& model, const DofMap& dofs) {
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  // Count-then-fill: size each free row's slots from the elements that
+  // touch it, scatter the column ids into them, then sort and dedupe each
+  // short row in place.  Same pattern as sorting every (row, col) pair.
+  const std::size_t n = dofs.free_dofs;
   std::vector<std::size_t> global;
-  for (const auto& element : model.elements) {
+  std::vector<std::size_t> free;
+  auto element_free_dofs = [&](const Element& element) {
     element_global_dofs(element, dofs, global);
-    for (const std::size_t gr : global) {
-      const std::ptrdiff_t rr = dofs.full_to_reduced[gr];
-      if (rr < 0) continue;
-      for (const std::size_t gc : global) {
-        const std::ptrdiff_t rc = dofs.full_to_reduced[gc];
-        if (rc >= 0)
-          pairs.emplace_back(static_cast<std::size_t>(rr),
-                             static_cast<std::size_t>(rc));
-      }
-    }
+    free.clear();
+    for (const std::size_t g : global)
+      if (const std::ptrdiff_t r = dofs.full_to_reduced[g]; r >= 0)
+        free.push_back(static_cast<std::size_t>(r));
+  };
+
+  // Row r's slots are [slot[r], slot[r + 1]).
+  std::vector<std::size_t> slot(n + 1, 0);
+  for (const auto& element : model.elements) {
+    element_free_dofs(element);
+    for (const std::size_t r : free) slot[r + 1] += free.size();
   }
-  return std::make_shared<la::SparsityPattern>(la::SparsityPattern::from_pairs(
-      dofs.free_dofs, dofs.free_dofs, std::move(pairs)));
+  for (std::size_t r = 0; r < n; ++r) slot[r + 1] += slot[r];
+
+  std::vector<std::size_t> col_idx(slot[n]);
+  std::vector<std::size_t> fill(slot.begin(), slot.end() - 1);
+  for (const auto& element : model.elements) {
+    element_free_dofs(element);
+    for (const std::size_t r : free)
+      for (const std::size_t c : free) col_idx[fill[r]++] = c;
+  }
+
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  std::size_t nnz = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto begin = col_idx.begin() + static_cast<std::ptrdiff_t>(slot[r]);
+    const auto end =
+        col_idx.begin() + static_cast<std::ptrdiff_t>(slot[r + 1]);
+    std::sort(begin, end);
+    const auto last = std::unique(begin, end);
+    for (auto it = begin; it != last; ++it) col_idx[nnz++] = *it;
+    row_ptr[r + 1] = nnz;
+  }
+  col_idx.resize(nnz);
+  col_idx.shrink_to_fit();
+  return std::make_shared<la::SparsityPattern>(n, n, std::move(row_ptr),
+                                               std::move(col_idx));
 }
 
 AssemblyPlan build_assembly_plan(const StructureModel& model) {

@@ -1,5 +1,6 @@
 #include "la/iterative.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -44,23 +45,25 @@ SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
   if (precond != nullptr) FEM2_CHECK(precond->size() == n);
   out.report.method = precond ? "pcg-" + precond->name() : "cg";
 
-  auto precondition = [&](const Vector& r) {
-    if (precond == nullptr) return r;
-    Vector z(r.size());
-    precond->apply(r, z);
-    return z;
-  };
-
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
     out.report.converged = true;
     return out;
   }
 
+  // Every per-iteration vector lives in a buffer made here; without a
+  // preconditioner z is r itself.
   Vector r(b.begin(), b.end());  // r = b - A·0
-  Vector z = precondition(r);
-  Vector p = z;
-  double rz = dot(r, z);
+  Vector z(precond != nullptr ? n : 0);
+  Vector ap(n);
+  auto precondition = [&]() -> std::span<const double> {
+    if (precond == nullptr) return r;
+    precond->apply(r, z);
+    return z;
+  };
+  std::span<const double> zr = precondition();
+  Vector p(zr.begin(), zr.end());
+  double rz = dot(r, zr);
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     const double rn = norm2(r) / bnorm;
@@ -70,7 +73,7 @@ SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
       out.report.converged = true;
       return out;
     }
-    Vector ap = a.multiply(p);
+    a.multiply_rows(p, 0, n, ap);
     const double pap = dot(p, ap);
     if (pap <= 0.0) {
       // Not SPD (or breakdown); stop with the best iterate we have.
@@ -79,11 +82,11 @@ SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
     const double alpha = rz / pap;
     axpy(alpha, p, out.x);
     axpy(-alpha, ap, r);
-    z = precondition(r);
-    const double rz_next = dot(r, z);
+    zr = precondition();
+    const double rz_next = dot(r, zr);
     const double beta = rz_next / rz;
     rz = rz_next;
-    xpay(z, beta, p);
+    xpay(zr, beta, p);
   }
   out.report.iterations = options.max_iterations;
   out.report.residual_norm = norm2(r) / bnorm;
@@ -111,19 +114,25 @@ SolveResult jacobi(const CsrMatrix& a, std::span<const double> b,
     return out;
   }
 
+  Vector ax(n);
   Vector next(n);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    Vector ax = a.multiply(out.x);
-    const double rn = norm2(subtract(b, ax)) / bnorm;
+    a.multiply_rows(out.x, 0, n, ax);
+    // x' = x + D⁻¹ (b - A x), formed alongside ‖b - A x‖; a converged x
+    // is returned and x' dropped.
+    LaneNorm residual(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r = b[i] - ax[i];
+      residual.add(i, r);
+      next[i] = out.x[i] + r / diag[i];
+    }
+    const double rn = residual.norm() / bnorm;
     out.report.iterations = it;
     out.report.residual_norm = rn;
     if (rn <= options.tolerance) {
       out.report.converged = true;
       return out;
     }
-    // x' = x + D⁻¹ (b - A x)
-    for (std::size_t i = 0; i < n; ++i)
-      next[i] = out.x[i] + (b[i] - ax[i]) / diag[i];
     out.x.swap(next);
   }
   out.report.iterations = options.max_iterations;
@@ -151,31 +160,62 @@ SolveResult sor(const CsrMatrix& a, std::span<const double> b,
     return out;
   }
 
+  // One pass over A per sweep.  Row i of the sweep x^k -> x^{k+1} also
+  // forms (b - A x^k)_i, from a copy of x^k, with spmv_rows' two
+  // accumulators and dot()'s lanes: the residual is bit-identical to
+  // relative_residual(a, x^k, b) without a second pass.  For j > i,
+  // x_j is still x_j^k, so a_ij x_j^k is one product feeding both sums;
+  // sigma keeps its column order.  A converged x^k comes back from the
+  // copy and the sweep's x^{k+1} is dropped.
+  const auto row_ptr = a.row_ptr();
+  const std::size_t* cols = a.col_idx().data();
+  const double* vals = a.values().data();
+  const double omega = options.sor_omega;
+  Vector prev(n);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    const double rn = relative_residual(a, out.x, b);
+    std::copy(out.x.begin(), out.x.end(), prev.begin());
+    const double* xk = prev.data();
+    double* x = out.x.data();
+    LaneNorm residual(n);
+    bool zero_diag = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc0 = 0.0, acc1 = 0.0, sigma = 0.0, diag = 0.0;
+      auto term = [&](std::size_t k, double& acc) {
+        const std::size_t j = cols[k];
+        const double p = vals[k] * xk[j];
+        acc += p;
+        if (j == i) {
+          diag = vals[k];
+        } else {
+          sigma += j > i ? p : vals[k] * x[j];
+        }
+      };
+      std::size_t k = row_ptr[i];
+      const std::size_t end = row_ptr[i + 1];
+      for (; k + 2 <= end; k += 2) {
+        term(k, acc0);
+        term(k + 1, acc1);
+      }
+      if (k < end) term(k, acc0);
+      residual.add(i, b[i] - (acc0 + acc1));
+      // A zero diagonal fails the sweep only once x^k is known not to
+      // have converged, as a separate residual pass would.
+      if (diag == 0.0) {
+        zero_diag = true;
+        continue;
+      }
+      const double gs = (b[i] - sigma) / diag;
+      x[i] += omega * (gs - x[i]);
+    }
+    const double rn = residual.norm() / bnorm;
     out.report.iterations = it;
     out.report.residual_norm = rn;
     if (rn <= options.tolerance) {
+      out.x.swap(prev);
       out.report.converged = true;
       return out;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::span<const std::size_t> cols;
-      std::span<const double> vals;
-      a.row(i, cols, vals);
-      double sigma = 0.0;
-      double diag = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        if (cols[k] == i) {
-          diag = vals[k];
-        } else {
-          sigma += vals[k] * out.x[cols[k]];
-        }
-      }
-      FEM2_CHECK_MSG(diag != 0.0, "SOR requires a nonzero diagonal");
-      const double gs = (b[i] - sigma) / diag;
-      out.x[i] += options.sor_omega * (gs - out.x[i]);
-    }
+    FEM2_CHECK_MSG(!zero_diag, "SOR requires a nonzero diagonal");
   }
   out.report.iterations = options.max_iterations;
   out.report.residual_norm = relative_residual(a, out.x, b);

@@ -70,21 +70,24 @@ void SkylineMatrix::factorize() {
   const std::size_t n = size();
   // Column-oriented Crout/Cholesky inside the profile:
   //   L(i,j) = (A(i,j) - Σ_k L(i,k) L(j,k)) / L(j,j),  k in overlap
+  // L(i,k) is entry (k, i) of the stored upper profile, so both factors
+  // are unit-stride walks down columns i and j.
   for (std::size_t j = 0; j < n; ++j) {
+    double* cj = column(j);
     for (std::size_t i = first_row_[j]; i <= j; ++i) {
-      double sum = value_at(i, j);
+      const double* ci = column(i);
+      double sum = cj[i];
       const std::size_t k_begin = std::max(first_row_[j], first_row_[i]);
-      for (std::size_t k = k_begin; k < i; ++k)
-        sum -= value_at(i, k) * value_at(k, j);
+      for (std::size_t k = k_begin; k < i; ++k) sum -= ci[k] * cj[k];
       if (i == j) {
         if (sum <= 0.0) {
           throw support::Error(
               "skyline Cholesky: matrix not positive definite at column " +
               std::to_string(j));
         }
-        at(i, j) = std::sqrt(sum);
+        cj[j] = std::sqrt(sum);
       } else {
-        at(i, j) = sum / value_at(i, i);
+        cj[i] = sum / ci[i];
       }
     }
   }
@@ -96,18 +99,20 @@ Vector SkylineMatrix::solve(std::span<const double> b) const {
   const std::size_t n = size();
   FEM2_CHECK(b.size() == n);
   Vector y(b.begin(), b.end());
-  // Forward: L z = b.  Column j of the stored upper profile holds L(j, i)
-  // transposed; value_at handles the symmetry.
+  // Forward: L z = b.  Column i of the stored upper profile holds row i
+  // of L.
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = first_row_[i]; k < i; ++k)
-      y[i] -= value_at(k, i) * y[k];
-    y[i] /= value_at(i, i);
+    const double* ci = column(i);
+    double yi = y[i];
+    for (std::size_t k = first_row_[i]; k < i; ++k) yi -= ci[k] * y[k];
+    y[i] = yi / ci[i];
   }
   // Backward: Lᵀ x = z, traversing columns right to left.
   for (std::size_t j = n; j-- > 0;) {
-    y[j] /= value_at(j, j);
-    for (std::size_t k = first_row_[j]; k < j; ++k)
-      y[k] -= value_at(k, j) * y[j];
+    const double* cj = column(j);
+    const double yj = y[j] / cj[j];
+    y[j] = yj;
+    for (std::size_t k = first_row_[j]; k < j; ++k) y[k] -= cj[k] * yj;
   }
   return y;
 }

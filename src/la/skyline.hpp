@@ -47,6 +47,16 @@ class SkylineMatrix {
  private:
   std::size_t col_height(std::size_t j) const { return j - first_row_[j] + 1; }
 
+  /// Column j indexed by row: column(j)[i] is entry (i, j) for
+  /// first_row_[j] <= i <= j.  Every column stores its diagonal, so
+  /// col_ptr_[j] >= j >= first_row_[j] and the base stays in values_.
+  double* column(std::size_t j) {
+    return values_.data() + (col_ptr_[j] - first_row_[j]);
+  }
+  const double* column(std::size_t j) const {
+    return values_.data() + (col_ptr_[j] - first_row_[j]);
+  }
+
   std::vector<std::size_t> first_row_;  ///< first stored row per column
   std::vector<std::size_t> col_ptr_;    ///< offset of column j's first entry
   std::vector<double> values_;          ///< column-major profile entries

@@ -13,7 +13,8 @@ double dot(std::span<const double> x, std::span<const double> y) {
   const double* b = y.data();
   // Four independent accumulators: breaks the add dependency chain so the
   // loop vectorizes/pipelines; the summation order is fixed regardless of
-  // lane count, keeping reductions bit-reproducible.
+  // lane count, keeping reductions bit-reproducible.  LaneNorm
+  // (vec_ops.hpp) repeats this order; change both or neither.
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {

@@ -9,6 +9,7 @@
 // unrolled), so results are bit-identical at any host thread count.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -33,6 +34,26 @@ void hadamard(std::span<const double> x, std::span<const double> y,
               std::span<double> z);
 
 double norm2(std::span<const double> x);
+
+/// norm2(x) fed one element at a time, x[i] through add(i, x[i]), summed
+/// in dot()'s lane order so the result is bit-identical: lets a solver
+/// form a residual's norm in the pass that produces the residual.
+class LaneNorm {
+ public:
+  explicit LaneNorm(std::size_t n) : blocked_(n - n % 4) {}
+
+  void add(std::size_t i, double v) {
+    lanes_[i < blocked_ ? i % 4 : 0] += v * v;
+  }
+
+  double norm() const {
+    return std::sqrt((lanes_[0] + lanes_[1]) + (lanes_[2] + lanes_[3]));
+  }
+
+ private:
+  std::size_t blocked_;  ///< dot() runs rows past this in its tail loop
+  double lanes_[4] = {0.0, 0.0, 0.0, 0.0};
+};
 
 double norm_inf(std::span<const double> x);
 

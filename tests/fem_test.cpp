@@ -2,7 +2,10 @@
 // solver agreement, substructuring equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "fem/analysis.hpp"
 #include "fem/assembly.hpp"
@@ -285,6 +288,62 @@ TEST(FemModel, ValidationCatchesErrors) {
   model.add_node(0, 0);  // same location
   model.add_element(ElementType::Bar2, {0, 1});
   EXPECT_THROW(model.validate(), support::Error);  // zero length
+}
+
+
+/// The pattern as it was built before count-then-fill: every element's
+/// free-dof (row, col) pairs through SparsityPattern::from_pairs.
+la::SparsityPattern pattern_from_pairs(const StructureModel& model,
+                                       const DofMap& dofs) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (const auto& element : model.elements) {
+    const std::size_t edof = element_dofs_per_node(element.type);
+    std::vector<std::size_t> free;
+    for (const std::size_t node : element.nodes)
+      for (std::size_t d = 0; d < edof; ++d)
+        if (const auto r = dofs.full_to_reduced[dofs.full_index(node, d)];
+            r >= 0)
+          free.push_back(static_cast<std::size_t>(r));
+    for (const std::size_t r : free)
+      for (const std::size_t c : free) pairs.emplace_back(r, c);
+  }
+  return la::SparsityPattern::from_pairs(dofs.free_dofs, dofs.free_dofs,
+                                         std::move(pairs));
+}
+
+TEST(FemAssembly, SparsityPatternMatchesSortedPairs) {
+  PlateMeshOptions quad;
+  quad.nx = 9;
+  quad.ny = 5;
+  quad.material = soft_material();
+  PlateMeshOptions tri = quad;
+  tri.element = ElementType::Tri3;
+  TrussOptions truss;
+  truss.bays = 7;
+  truss.material = soft_material();
+  FrameOptions frame;
+  frame.segments = 6;
+  frame.material = soft_material();
+  StructureModel prescribed = make_cantilever_plate(quad, 1.0);
+  prescribed.add_constraint(plate_node(quad, 9, 5), 1, 0.01);
+
+  const std::pair<const char*, StructureModel> models[] = {
+      {"quad4", make_cantilever_plate(quad, 1.0)},
+      {"tri3", make_cantilever_plate(tri, 1.0)},
+      {"bar2", make_truss_bridge(truss, 1.0)},
+      {"beam2", make_cantilever_beam(frame, 1.0)},
+      {"quad4 prescribed", prescribed},
+  };
+  for (const auto& [name, model] : models) {
+    const DofMap dofs = build_dof_map(model);
+    const auto got = build_sparsity_pattern(model, dofs);
+    const auto want = pattern_from_pairs(model, dofs);
+    EXPECT_EQ(got->rows(), want.rows()) << name;
+    EXPECT_EQ(got->cols(), want.cols()) << name;
+    EXPECT_TRUE(std::ranges::equal(got->row_ptr(), want.row_ptr())) << name;
+    EXPECT_TRUE(std::ranges::equal(got->col_idx(), want.col_idx())) << name;
+    EXPECT_EQ(got->storage_bytes(), want.storage_bytes()) << name;
+  }
 }
 
 }  // namespace

@@ -10,11 +10,18 @@ DIR holds the BENCH_*.json files emitted by the `--smoke` bench runs
 the same {experiment, rows, host_wall_ms} schema.
 
 Policy, matching the determinism story of the simulator:
-  * simulated metrics (unit "cycles", "msgs", "bytes", "iters", "steps",
-    "nodes") are deterministic — any regression > --threshold (default
-    25%) against the baseline FAILS the run; improvements are reported.
-  * host-side metrics ("ms", "commits/s") are hardware-dependent — they
-    only WARN, never fail.
+  * every unit has a direction.  A change beyond --threshold (default
+    25%) in the worse direction is a regression; one in the better
+    direction is reported as an improvement.  A rise from a zero
+    baseline is a regression for a lower-is-better unit.
+  * deterministic metrics — simulated or counted: "cycles", "msgs",
+    "bytes", "iters", "steps", "nodes", "nnz", "states", "findings",
+    all lower-is-better — FAIL the run on a regression.
+  * host-side metrics are hardware-dependent and only WARN: "ms" and
+    "us" are lower-is-better, "commits/s", "states/s" and the "x"
+    speed-up ratios higher-is-better.
+  * a row whose unit is in neither set FAILS: its direction is unknown,
+    so the gate cannot judge it.
   * missing metrics WARN in both directions: a current metric absent
     from the baseline (new bench / new row — run --update to adopt it)
     and a baseline metric absent from the current reports (a bench
@@ -33,11 +40,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-SIMULATED_UNITS = {"cycles", "msgs", "bytes", "iters", "steps", "nodes"}
-HOST_UNITS = {"ms", "commits/s"}
+LOWER, HIGHER = "lower", "higher"  # which direction is better
+DETERMINISTIC_UNITS = {unit: LOWER for unit in (
+    "cycles", "msgs", "bytes", "iters", "steps", "nodes", "nnz", "states",
+    "findings")}
+HOST_UNITS = {"ms": LOWER, "us": LOWER, "commits/s": HIGHER,
+              "states/s": HIGHER, "x": HIGHER}
 
 
 def load_reports(directory: Path) -> dict[str, dict]:
@@ -86,6 +98,14 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
                   f"from the current report")
             warnings += 1
         for metric, row in current_rows.items():
+            unit = row.get("unit", "")
+            deterministic = unit in DETERMINISTIC_UNITS
+            better = DETERMINISTIC_UNITS.get(unit) or HOST_UNITS.get(unit)
+            if better is None:
+                print(f"FAIL  {experiment}/{metric}: unknown unit "
+                      f"{unit!r} (give it a direction in bench_compare.py)")
+                failures += 1
+                continue
             base_row = base_rows.get(metric)
             if base_row is None:
                 print(f"warn  {experiment}/{metric}: not in baseline "
@@ -93,22 +113,26 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
                 warnings += 1
                 continue
             old, new = base_row["value"], row["value"]
-            if old == 0:
+            if old == new:
                 continue
-            ratio = new / old
-            unit = row.get("unit", "")
-            simulated = unit in SIMULATED_UNITS
-            if ratio > 1.0 + threshold:
-                kind = "FAIL " if simulated else "warn "
+            if old == 0:
+                change, text = math.copysign(math.inf, new), "from 0"
+            else:
+                change = new / old - 1
+                text = f"{100 * change:+.1f}%"
+            if better == HIGHER:
+                change = -change
+            if change > threshold:
+                kind = "FAIL " if deterministic else "warn "
                 print(f"{kind} {experiment}/{metric}: {old:g} -> {new:g} "
-                      f"{unit} (+{100 * (ratio - 1):.1f}%)")
-                if simulated:
+                      f"{unit} ({text}, {better} is better)")
+                if deterministic:
                     failures += 1
                 else:
                     warnings += 1
-            elif ratio < 1.0 - threshold:
+            elif change < -threshold:
                 print(f"note  {experiment}/{metric}: {old:g} -> {new:g} "
-                      f"{unit} ({100 * (ratio - 1):.1f}%, improvement)")
+                      f"{unit} ({text}, improvement)")
     for experiment in sorted(baseline.keys() - reports.keys()):
         print(f"warn  {experiment}: in baseline but no current report")
         warnings += 1
