@@ -54,7 +54,7 @@ struct MachineConfig {
 
   /// Inter-cluster network shape (hw/topology.hpp).  Null selects a
   /// FlatTopology built from the two fields above — the seed cost model.
-  /// The engine's PDES window is the topology's minimum launch delay.
+  /// The engine's window is the topology's minimum launch delay.
   std::shared_ptr<const Topology> topology;
 
   /// Aggregate network channels: each cluster has one inbound FIFO channel;

@@ -4,26 +4,20 @@
 // event-queue shard, plus one "global" shard for host-scheduled events
 // (fault injections, OS launches, anything scheduled from outside the
 // simulation).  Execution proceeds in *phases*: all cluster events inside a
-// virtual-time window [B, B+W) run, then a barrier, then the next phase.
-// W (the lookahead) equals the inter-cluster network launch latency, so a
-// message sent during a phase can only be delivered in a later phase —
-// cross-shard deliveries are exchanged exclusively at the barriers.  This
-// is a conservative synchronous-window PDES scheme: with more than one
-// host thread the shards of a phase execute in parallel, and because every
-// event carries a totally-ordered key (time, origin shard, origin
-// sequence) that is allocated identically in serial and parallel mode, the
-// results are bit-identical to the serial engine for every seed.
+// virtual-time window [B, B+W) run, then the next phase.  W equals the
+// topology's minimum inter-cluster launch delay, so a message sent during a
+// phase can only be delivered in a later one; the window boundaries are the
+// cadence at which refresh hooks publish globally shared state (the OS
+// load board).  Global events run one at a time between phases.
 //
-// Events at equal virtual time execute in key order, so runs are
-// bit-reproducible regardless of FEM2_HOST_THREADS.
+// Every event carries a totally-ordered key (time, origin shard, origin
+// sequence), and events execute in key order, so runs are bit-reproducible
+// for every seed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "hw/config.hpp"
@@ -32,8 +26,8 @@ namespace fem2::hw {
 
 /// Total order on events.  `shard` and `seq` identify the scheduling
 /// context that created the event (its *origin*), not the queue it sits
-/// in; the pair (shard, seq) is globally unique because each shard
-/// allocates its own monotonic sequence numbers.
+/// in; the pair (shard, seq) is unique because each shard allocates its
+/// own monotonic sequence numbers.
 struct EventKey {
   Cycles time = 0;
   std::uint32_t shard = 0;
@@ -44,25 +38,6 @@ struct EventKey {
     if (a.shard != b.shard) return a.shard < b.shard;
     return a.seq < b.seq;
   }
-  friend bool operator==(const EventKey& a, const EventKey& b) {
-    return a.time == b.time && a.shard == b.shard && a.seq == b.seq;
-  }
-  friend bool operator!=(const EventKey& a, const EventKey& b) {
-    return !(a == b);
-  }
-  friend bool operator<=(const EventKey& a, const EventKey& b) {
-    return !(b < a);
-  }
-};
-
-/// A reserved scheduling identity: lets a layer draw the (shard, seq) pair
-/// for a future event *now* — while the origin context is executing — and
-/// materialize the event later (e.g. at a window barrier).  Reserving at
-/// send time keeps sequence-counter advancement identical between the
-/// serial and parallel engines.
-struct EventOrigin {
-  std::uint32_t shard = 0;
-  std::uint64_t seq = 0;
 };
 
 class Engine {
@@ -70,18 +45,16 @@ class Engine {
   using Action = std::function<void()>;
   using Hook = std::function<void()>;
 
-  /// Reads FEM2_HOST_THREADS (default 1) for the worker-pool size.
-  Engine();
-  ~Engine();
+  Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   // --- topology ---------------------------------------------------------
   /// Split the engine into `clusters` cluster shards plus one global
-  /// shard, with window/lookahead `window` cycles.  Called once by the
-  /// Machine before any event is scheduled.  A window of 0 disables
-  /// parallel phases (every event runs in its own single-instant phase).
+  /// shard, with window `window` cycles.  Called once by the Machine
+  /// before any event is scheduled.  A window of 0 makes every virtual
+  /// instant its own phase.
   void configure(std::uint32_t clusters, Cycles window);
 
   std::uint32_t shard_count() const {
@@ -91,25 +64,14 @@ class Engine {
   std::uint32_t global_shard() const { return shard_count() - 1; }
   Cycles window() const { return window_; }
 
-  // --- host threads -----------------------------------------------------
-  unsigned threads() const { return threads_; }
-  /// Set the worker-pool size (1 = serial).  Must not be called while
-  /// run() is executing.  Results are identical for every value.
-  void set_threads(unsigned n);
-
   // --- scheduling context ----------------------------------------------
-  /// Virtual time of the current context: the executing event's time on
-  /// its shard, or the time of the last executed event from the host.
-  Cycles now() const;
-  /// Shard of the current context (the global shard from the host).
-  std::uint32_t current_shard() const;
-  /// Key of the event currently executing (host context: a synthetic key
-  /// at now() on the global shard).  Used to tag deferred work so barriers
-  /// can replay it in exact serial order.
-  EventKey current_key() const;
-  /// True while a parallel phase is executing — layers must buffer
-  /// cross-shard work instead of performing it.
-  bool in_worker_phase() const { return in_worker_phase_; }
+  /// Virtual time of the current context: the executing event's time, or
+  /// the time of the last executed event from the host.
+  Cycles now() const { return executing_ ? current_.time : host_now_; }
+  /// Shard of the executing event (the global shard from the host).
+  std::uint32_t current_shard() const {
+    return executing_ ? current_.shard : global_shard();
+  }
 
   // --- scheduling -------------------------------------------------------
   /// Schedule `action` on the current context's shard, `delay` cycles
@@ -119,17 +81,9 @@ class Engine {
   /// Schedule on the current context's shard at absolute time >= now().
   void schedule_at(Cycles time, Action action);
 
-  /// Schedule on an explicit shard.  From a parallel phase only the
-  /// executing shard itself is a legal target; cross-shard scheduling is
-  /// reserved for barrier/host/global contexts.
+  /// Schedule on an explicit shard at absolute time >= now().  The event's
+  /// key takes its sequence number from the current context's shard.
   void schedule_on(std::uint32_t shard, Cycles time, Action action);
-
-  /// Draw an event identity from the current context's shard.
-  EventOrigin reserve_origin();
-
-  /// Materialize an event with a previously reserved identity.
-  void schedule_reserved(std::uint32_t shard, Cycles time, EventOrigin origin,
-                         Action action);
 
   // --- execution --------------------------------------------------------
   /// Run until the event queues are empty.  Returns events processed.
@@ -154,10 +108,8 @@ class Engine {
   /// idle with live tasks remaining (deadlock / starvation).
   void set_idle_hook(Hook hook) { idle_hook_ = std::move(hook); }
 
-  /// Invoked after every execution phase, on the coordinator thread, with
-  /// no event in flight.  Layers use this to flush work buffered during
-  /// the phase (deferred network sends, observer callbacks) in
-  /// deterministic shard order.  Hooks run in registration order.
+  /// Invoked after every phase and every global event, with no event in
+  /// flight, in registration order (e.g. to count phases).
   void add_barrier_hook(Hook hook);
 
   /// Invoked whenever virtual time crosses a window boundary B (before
@@ -181,60 +133,32 @@ class Engine {
     std::priority_queue<Event, std::vector<Event>, Later> queue;
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
-    EventKey last_key;  ///< key of this shard's last executed event
-    std::exception_ptr error;
-    EventKey error_key;
   };
 
-  /// Thread-local execution context: set while an event's action runs.
+  /// The executing event's shard and time.
   struct Context {
-    const Engine* engine = nullptr;
     std::uint32_t shard = 0;
-    EventKey key;
+    Cycles time = 0;
   };
-  static thread_local Context* context_;
 
-  bool in_context() const {
-    return context_ != nullptr && context_->engine == this;
-  }
-
-  /// Pop and execute one event on `shard` with the proper context.
+  /// Pop and execute the next event of `shard` with the proper context.
   void execute(std::uint32_t shard);
-  /// Drain `shard` of all events with key < stop.  Exceptions are stashed
-  /// in the shard (worker mode).
-  void drain_shard(std::uint32_t shard, const EventKey& stop);
-  /// Worker-pool thread body.
-  void worker_main(unsigned slot, std::uint64_t seen);
-  void ensure_pool();
-  void stop_pool();
   void run_barrier_hooks();
   void fire_refresh_up_to(Cycles next_time);
   void maybe_quiescent(Cycles settled);
-  void rethrow_phase_error();
 
   std::vector<Shard> shards_{1};  ///< unconfigured: one (global) shard
   Cycles window_ = 0;
   Cycles host_now_ = 0;    ///< time of the last executed event
   Cycles next_refresh_ = 0;  ///< next window boundary to announce
   bool running_ = false;
-  bool in_worker_phase_ = false;
+  bool executing_ = false;  ///< an event's action is running
+  Context current_;         ///< valid while executing_
 
   Hook quiescent_hook_;
   Hook idle_hook_;
   std::vector<Hook> barrier_hooks_;
   std::vector<Hook> refresh_hooks_;
-
-  // Worker pool.  Workers spin on phase_epoch_; the coordinator publishes
-  // phase_stop_ / in_worker_phase_ before bumping the epoch (release), and
-  // workers acquire it, so all shard state written between phases is
-  // visible to the owning worker and vice versa via phase_pending_.
-  unsigned threads_ = 1;
-  unsigned pool_stride_ = 0;  ///< participants per phase (incl. coordinator)
-  std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> phase_epoch_{0};
-  std::atomic<unsigned> phase_pending_{0};
-  std::atomic<bool> pool_stop_{false};
-  EventKey phase_stop_;
 };
 
 }  // namespace fem2::hw

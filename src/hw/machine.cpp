@@ -16,7 +16,7 @@ Machine::Machine(const MachineConfig& config)
     topology_ = std::make_shared<FlatTopology>(config_);
   FEM2_CHECK_MSG(topology_->clusters() == config_.clusters,
                  "topology cluster count does not match the machine");
-  // The PDES lookahead is the topology's minimum cross-cluster launch
+  // The engine window is the topology's minimum cross-cluster launch
   // delay: no packet sent inside a window can be delivered inside it.
   const Cycles window = topology_->min_launch_delay();
   FEM2_CHECK_MSG(window > 0, "topology min launch delay must be positive");
@@ -35,10 +35,6 @@ Machine::Machine(const MachineConfig& config)
   metrics_.network.clusters = config_.clusters;
   metrics_.network.traffic_matrix.assign(config_.clusters * config_.clusters,
                                          0);
-  net_deltas_ = std::vector<NetDeltas>(engine_.shard_count());
-  net_buffers_.resize(engine_.shard_count());
-  trace_buffers_.resize(engine_.shard_count());
-  engine_.add_barrier_hook([this] { flush_network(); });
 }
 
 void Machine::check_cluster(ClusterId cluster) const {
@@ -61,25 +57,7 @@ PeMetrics& Machine::pe_metrics(PeId pe) {
   return metrics_.pes[pe_flat_index(pe)];
 }
 
-Machine::NetDeltas& Machine::net_delta() const {
-  return net_deltas_[engine_.current_shard()];
-}
-
 const Topology& Machine::topology() const { return *topology_; }
-
-void Machine::record_trace(const TraceEvent& ev) {
-  if (tracer_ == nullptr) return;
-  if (trace_sink_ != nullptr) {
-    trace_sink_->push_back(PendingTrace{flush_order_key_, ev});
-    return;
-  }
-  if (engine_.in_worker_phase()) {
-    trace_buffers_[engine_.current_shard()].push_back(
-        PendingTrace{engine_.current_key(), ev});
-    return;
-  }
-  tracer_->record(ev);
-}
 
 void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
                           std::any payload) {
@@ -89,15 +67,17 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
   auto& src_metrics = metrics_.clusters[src.index];
   src_metrics.packets_out += 1;
   src_metrics.bytes_out += bytes;
-  metrics_.network
-      .traffic_matrix[src.index * config_.clusters + dst.index] += 1;
+  auto& net = metrics_.network;
+  net.traffic_matrix[src.index * config_.clusters + dst.index] += 1;
+  auto deliver = [this, packet = Packet{src, dst, bytes,
+                                        std::move(payload)}]() mutable {
+    deliver_packet(std::move(packet));
+  };
 
   if (src == dst) {
-    // Intra-cluster handoffs go through shared memory, never drop, and
-    // touch only the sender's own shard — executed inline in every mode.
-    auto& nd = net_delta();
-    nd.local_messages += 1;
-    nd.local_bytes += bytes;
+    // Intra-cluster handoffs go through shared memory and never drop.
+    net.local_messages += 1;
+    net.local_bytes += bytes;
     Cycles start = now() + config_.intra_cluster_latency;
     if (config_.model_memory_contention) {
       const auto transfer = static_cast<Cycles>(
@@ -105,75 +85,47 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
       auto& port = clusters_[dst.index].memory_port_free_at;
       start = std::max(start, port);
       port = start + transfer;
-      nd.memory_port_busy_cycles += transfer;
+      net.memory_port_busy_cycles += transfer;
       start += transfer;
     }
     record_trace({now(), TraceKind::MessageSent, src, 0xffffffffu, bytes});
-    Packet packet{src, dst, bytes, std::move(payload)};
-    engine_.schedule_at(
-        start, [this, src, dst, bytes, packet = std::move(packet)]() mutable {
-          deliver_packet(src, dst, bytes, std::move(packet));
-        });
+    engine_.schedule_at(start, std::move(deliver));
     return;
   }
 
-  // Inter-cluster: reserve the delivery's identity now (so sequence
-  // counters advance identically in serial and parallel mode), then launch
-  // immediately in serial contexts or at the window barrier during a
-  // parallel phase.  The lookahead (network launch latency) guarantees the
-  // delivery cannot land before the barrier.
-  PendingSend ps{src,   dst,
-                 bytes, std::move(payload),
-                 now(), engine_.current_key(),
-                 engine_.reserve_origin()};
-  if (engine_.in_worker_phase()) {
-    net_buffers_[engine_.current_shard()].push_back(std::move(ps));
-  } else {
-    launch_packet(ps);
-  }
-}
-
-void Machine::launch_packet(PendingSend& ps) {
-  auto& l = link(ps.src, ps.dst);
+  // Inter-cluster: link lottery, channel contention, then delivery on the
+  // destination's shard.  The launch delay is at least the engine window,
+  // so the delivery lands in a later phase.
+  const auto& l = link(src, dst);
   if (l.severed ||
       (l.drop_probability > 0.0 && net_rng_.chance(l.drop_probability))) {
-    drop_packet(ps.src, ps.dst, ps.bytes, ps.send_time);
+    drop_packet(src, dst, bytes, now());
     return;
   }
-  metrics_.network.messages += 1;
-  metrics_.network.bytes += ps.bytes;
-  const Cycles launch = topology_->launch_delay(ps.src, ps.dst, ps.send_time);
+  net.messages += 1;
+  net.bytes += bytes;
+  const Cycles launch = topology_->launch_delay(src, dst, now());
   FEM2_CHECK_MSG(launch >= engine_.window(),
-                 "topology launch delay below the PDES lookahead");
+                 "topology launch delay below the engine window");
   const auto transfer = static_cast<Cycles>(
-      topology_->cycles_per_byte(ps.src, ps.dst) *
-      static_cast<double>(ps.bytes));
-  Cycles start = ps.send_time + launch;
+      topology_->cycles_per_byte(src, dst) * static_cast<double>(bytes));
+  Cycles start = now() + launch;
   if (config_.model_network_contention) {
-    auto& ch = channel_free_at_[topology_->channel(ps.src, ps.dst)];
+    auto& ch = channel_free_at_[topology_->channel(src, dst)];
     start = std::max(start, ch);
     ch = start + transfer;
-    metrics_.network.channel_busy_cycles += transfer;
+    net.channel_busy_cycles += transfer;
   }
   const Cycles deliver_at = start + transfer;
-  // launch_packet always runs in deterministic serial order (inline or at
-  // the window barrier), so sampling here is thread-count invariant.
-  metrics_.network.latency.record(deliver_at - ps.send_time);
-  record_trace(
-      {ps.send_time, TraceKind::MessageSent, ps.src, 0xffffffffu, ps.bytes});
-  Packet packet{ps.src, ps.dst, ps.bytes, std::move(ps.payload)};
-  const ClusterId src = ps.src;
-  const ClusterId dst = ps.dst;
-  const std::size_t bytes = ps.bytes;
-  engine_.schedule_reserved(
-      dst.index, deliver_at, ps.origin,
-      [this, src, dst, bytes, packet = std::move(packet)]() mutable {
-        deliver_packet(src, dst, bytes, std::move(packet));
-      });
+  net.latency.record(deliver_at - now());
+  record_trace({now(), TraceKind::MessageSent, src, 0xffffffffu, bytes});
+  engine_.schedule_on(dst.index, deliver_at, std::move(deliver));
 }
 
-void Machine::deliver_packet(ClusterId src, ClusterId dst, std::size_t bytes,
-                             Packet packet) {
+void Machine::deliver_packet(Packet packet) {
+  const ClusterId src = packet.source;
+  const ClusterId dst = packet.destination;
+  const std::size_t bytes = packet.bytes;
   auto& cl = clusters_[dst.index];
   if (cl.lost) {
     // Nobody is home: the packet evaporates at the dead cluster's network
@@ -188,54 +140,6 @@ void Machine::deliver_packet(ClusterId src, ClusterId dst, std::size_t bytes,
   cm.queue_peak = std::max<std::uint64_t>(cm.queue_peak, cl.queue.size());
   record_trace({now(), TraceKind::MessageDelivered, dst, 0xffffffffu, bytes});
   notify_service(dst);
-}
-
-void Machine::flush_network() {
-  const std::uint32_t nshards = engine_.shard_count();
-  bool have_work = false;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    if (!net_buffers_[s].empty() || !trace_buffers_[s].empty()) {
-      have_work = true;
-      break;
-    }
-  }
-  if (!have_work) return;
-
-  // Merge buffered sends into exact serial order: per-shard buffers are
-  // already sorted by sending-event key (a shard executes its events in
-  // key order), and keys never collide across shards.
-  std::vector<PendingSend> sends;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    auto& buf = net_buffers_[s];
-    std::move(buf.begin(), buf.end(), std::back_inserter(sends));
-    buf.clear();
-  }
-  std::stable_sort(sends.begin(), sends.end(),
-                   [](const PendingSend& a, const PendingSend& b) {
-                     return a.order < b.order;
-                   });
-
-  std::vector<PendingTrace> records;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    auto& buf = trace_buffers_[s];
-    std::move(buf.begin(), buf.end(), std::back_inserter(records));
-    buf.clear();
-  }
-
-  trace_sink_ = &records;
-  for (auto& ps : sends) {
-    flush_order_key_ = ps.order;
-    launch_packet(ps);
-  }
-  trace_sink_ = nullptr;
-
-  if (tracer_ != nullptr && !records.empty()) {
-    std::stable_sort(records.begin(), records.end(),
-                     [](const PendingTrace& a, const PendingTrace& b) {
-                       return a.key < b.key;
-                     });
-    for (const auto& r : records) tracer_->record(r.event);
-  }
 }
 
 std::optional<Packet> Machine::pop_packet(ClusterId cluster) {
@@ -268,7 +172,7 @@ PeId Machine::kernel_pe(ClusterId cluster) const {
   check_cluster(cluster);
   for (std::uint32_t i = 0; i < config_.pes_per_cluster; ++i) {
     const PeId pe{cluster, i};
-    if (slot(pe).state.load(std::memory_order_relaxed) != PeState::Failed) {
+    if (slot(pe).state != PeState::Failed) {
       return pe;
     }
   }
@@ -282,8 +186,8 @@ PeId Machine::acquire_worker(ClusterId cluster) {
   for (std::uint32_t i = 0; i < config_.pes_per_cluster; ++i) {
     const PeId pe{cluster, i};
     if (pe == kernel && config_.pes_per_cluster > 1) continue;
-    if (slot(pe).state.load(std::memory_order_relaxed) == PeState::Idle) {
-      slot(pe).state.store(PeState::Busy, std::memory_order_relaxed);
+    if (slot(pe).state == PeState::Idle) {
+      slot(pe).state = PeState::Busy;
       return pe;
     }
   }
@@ -292,17 +196,17 @@ PeId Machine::acquire_worker(ClusterId cluster) {
 
 bool Machine::try_acquire_pe(PeId pe) {
   auto& s = slot(pe);
-  if (s.state.load(std::memory_order_relaxed) != PeState::Idle) return false;
-  s.state.store(PeState::Busy, std::memory_order_relaxed);
+  if (s.state != PeState::Idle) return false;
+  s.state = PeState::Busy;
   return true;
 }
 
 void Machine::release_worker(PeId pe) {
   auto& s = slot(pe);
-  const PeState st = s.state.load(std::memory_order_relaxed);
+  const PeState st = s.state;
   if (st == PeState::Failed) return;  // died while working
   FEM2_CHECK_MSG(st == PeState::Busy, "releasing a PE that is not busy");
-  s.state.store(PeState::Idle, std::memory_order_relaxed);
+  s.state = PeState::Idle;
   // A freed PE may unblock queued messages.
   notify_service(pe.cluster);
 }
@@ -310,15 +214,14 @@ void Machine::release_worker(PeId pe) {
 void Machine::occupy(PeId pe, Cycles duration,
                      std::function<void()> on_complete) {
   auto& s = slot(pe);
-  FEM2_CHECK_MSG(s.state.load(std::memory_order_relaxed) != PeState::Failed,
-                 "occupying a failed PE");
+  FEM2_CHECK_MSG(s.state != PeState::Failed, "occupying a failed PE");
   const std::uint32_t generation = s.generation;
   auto& pm = metrics_.pes[pe_flat_index(pe)];
   pm.busy_cycles += duration;
   pm.work_items += 1;
   record_trace({now(), TraceKind::WorkStarted, pe.cluster, pe.index, 0});
-  // Anchor the completion to the PE's own cluster shard so work stays
-  // phase-local even when dispatched from a stop-world (global) context.
+  // Anchor the completion to the PE's own cluster shard, also when the
+  // work is dispatched from a global event.
   engine_.schedule_on(
       pe.cluster.index, now() + duration,
       [this, pe, generation, on_complete = std::move(on_complete)] {
@@ -335,11 +238,11 @@ void Machine::occupy(PeId pe, Cycles duration,
 }
 
 bool Machine::pe_alive(PeId pe) const {
-  return slot(pe).state.load(std::memory_order_relaxed) != PeState::Failed;
+  return slot(pe).state != PeState::Failed;
 }
 
 bool Machine::pe_busy(PeId pe) const {
-  return slot(pe).state.load(std::memory_order_relaxed) == PeState::Busy;
+  return slot(pe).state == PeState::Busy;
 }
 
 std::size_t Machine::alive_pes(ClusterId cluster) const {
@@ -357,17 +260,17 @@ std::size_t Machine::idle_workers(ClusterId cluster) const {
   for (std::uint32_t i = 0; i < config_.pes_per_cluster; ++i) {
     const PeId pe{cluster, i};
     if (pe == kernel && config_.pes_per_cluster > 1) continue;
-    if (slot(pe).state.load(std::memory_order_relaxed) == PeState::Idle) ++n;
+    if (slot(pe).state == PeState::Idle) ++n;
   }
   return n;
 }
 
 void Machine::fail_pe(PeId pe) {
   auto& s = slot(pe);
-  const PeState st = s.state.load(std::memory_order_relaxed);
+  const PeState st = s.state;
   if (st == PeState::Failed) return;
   const bool was_busy = st == PeState::Busy;
-  s.state.store(PeState::Failed, std::memory_order_relaxed);
+  s.state = PeState::Failed;
   s.generation += 1;
   failed_count_ += 1;
   record_trace({now(), TraceKind::PeFailed, pe.cluster, pe.index, 0});
@@ -383,8 +286,8 @@ void Machine::fail_pe(PeId pe) {
 
 void Machine::restore_pe(PeId pe) {
   auto& s = slot(pe);
-  if (s.state.load(std::memory_order_relaxed) != PeState::Failed) return;
-  s.state.store(PeState::Idle, std::memory_order_relaxed);
+  if (s.state != PeState::Failed) return;
+  s.state = PeState::Idle;
   s.generation += 1;
   failed_count_ -= 1;
   auto& cl = clusters_[pe.cluster.index];
@@ -404,10 +307,10 @@ void Machine::fail_cluster(ClusterId cluster) {
   for (std::uint32_t i = 0; i < config_.pes_per_cluster; ++i) {
     const PeId pe{cluster, i};
     auto& s = slot(pe);
-    const PeState st = s.state.load(std::memory_order_relaxed);
+    const PeState st = s.state;
     if (st == PeState::Failed) continue;
     const bool was_busy = st == PeState::Busy;
-    s.state.store(PeState::Failed, std::memory_order_relaxed);
+    s.state = PeState::Failed;
     s.generation += 1;
     failed_count_ += 1;
     record_trace({now(), TraceKind::PeFailed, cluster, i, 0});
@@ -483,26 +386,9 @@ bool Machine::link_severed(ClusterId src, ClusterId dst) const {
 
 void Machine::drop_packet(ClusterId src, ClusterId dst, std::size_t bytes,
                           Cycles at) {
-  auto& nd = net_delta();
-  nd.dropped_messages += 1;
-  nd.dropped_bytes += bytes;
+  metrics_.network.dropped_messages += 1;
+  metrics_.network.dropped_bytes += bytes;
   record_trace({at, TraceKind::MessageDropped, dst, src.index, bytes});
-}
-
-void Machine::fold_metrics() const {
-  for (auto& nd : net_deltas_) {
-    metrics_.network.local_messages += nd.local_messages;
-    metrics_.network.local_bytes += nd.local_bytes;
-    metrics_.network.memory_port_busy_cycles += nd.memory_port_busy_cycles;
-    metrics_.network.dropped_messages += nd.dropped_messages;
-    metrics_.network.dropped_bytes += nd.dropped_bytes;
-    nd = NetDeltas{};
-  }
-}
-
-const MachineMetrics& Machine::metrics() const {
-  fold_metrics();
-  return metrics_;
 }
 
 void Machine::allocate(ClusterId cluster, std::size_t bytes) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <any>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -141,10 +140,7 @@ class Machine {
   std::size_t memory_capacity() const { return config_.memory_per_cluster; }
 
   // --- metrics -----------------------------------------------------------
-  /// Folds per-shard counters accumulated during parallel phases into the
-  /// master table (deterministic shard order).  Host/coordinator context
-  /// only — never call from inside a parallel phase.
-  const MachineMetrics& metrics() const;
+  const MachineMetrics& metrics() const { return metrics_; }
   PeMetrics& pe_metrics(PeId pe);
 
   /// Attach an execution tracer (optional; not owned).  Pass nullptr to
@@ -155,11 +151,7 @@ class Machine {
   enum class PeState { Idle, Busy, Failed };
 
   struct PeSlot {
-    // Atomic because remote shards poll liveness (cluster_alive /
-    // alive_pes) while the owning shard flips Idle<->Busy; the Failed
-    // transition itself happens only stop-world, so the values observed by
-    // liveness checks are deterministic.
-    std::atomic<PeState> state{PeState::Idle};
+    PeState state = PeState::Idle;
     std::uint32_t generation = 0;  ///< bumped on fail/restore
   };
 
@@ -175,34 +167,6 @@ class Machine {
     bool severed = false;
   };
 
-  /// An inter-cluster send buffered during a parallel phase.  `order` is
-  /// the key of the sending event (the exact serial launch order);
-  /// `origin` is the delivery event's pre-reserved identity.
-  struct PendingSend {
-    ClusterId src;
-    ClusterId dst;
-    std::size_t bytes = 0;
-    std::any payload;
-    Cycles send_time = 0;
-    EventKey order;
-    EventOrigin origin;
-  };
-
-  struct PendingTrace {
-    EventKey key;
-    TraceEvent event;
-  };
-
-  /// Network scalars that cluster-shard events update; folded into
-  /// metrics_.network on read, in shard order.
-  struct NetDeltas {
-    std::uint64_t local_messages = 0;
-    std::uint64_t local_bytes = 0;
-    Cycles memory_port_busy_cycles = 0;
-    std::uint64_t dropped_messages = 0;
-    std::uint64_t dropped_bytes = 0;
-  };
-
   PeSlot& slot(PeId pe);
   const PeSlot& slot(PeId pe) const;
   std::size_t pe_flat_index(PeId pe) const;
@@ -214,19 +178,11 @@ class Machine {
   void handle_cluster_death(ClusterId cluster);
   void drop_packet(ClusterId src, ClusterId dst, std::size_t bytes, Cycles at);
 
-  /// Launch one inter-cluster packet (link lottery, channel contention,
-  /// delivery scheduling).  Runs at send time in serial contexts and at
-  /// the window barrier for sends buffered during a parallel phase — in
-  /// both cases in exact serial order with identical RNG draws.
-  void launch_packet(PendingSend& ps);
-  /// The arrival half of a send: runs on the destination's shard.
-  void deliver_packet(ClusterId src, ClusterId dst, std::size_t bytes,
-                      Packet packet);
-  /// Barrier hook: replays buffered sends and trace records in key order.
-  void flush_network();
-  void record_trace(const TraceEvent& ev);
-  NetDeltas& net_delta() const;
-  void fold_metrics() const;
+  /// The arrival half of a send.
+  void deliver_packet(Packet packet);
+  void record_trace(const TraceEvent& ev) {
+    if (tracer_ != nullptr) tracer_->record(ev);
+  }
 
   MachineConfig config_;
   std::shared_ptr<const Topology> topology_;
@@ -238,12 +194,7 @@ class Machine {
   ClusterService service_;
   WorkLostHandler work_lost_;
   ClusterLostHandler cluster_lost_;
-  mutable MachineMetrics metrics_;
-  mutable std::vector<NetDeltas> net_deltas_;       ///< one per shard
-  std::vector<std::vector<PendingSend>> net_buffers_;   ///< one per shard
-  std::vector<std::vector<PendingTrace>> trace_buffers_;  ///< one per shard
-  std::vector<PendingTrace>* trace_sink_ = nullptr;  ///< set during flush
-  EventKey flush_order_key_;
+  MachineMetrics metrics_;
   Tracer* tracer_ = nullptr;
   std::size_t failed_count_ = 0;
   std::size_t failed_clusters_ = 0;

@@ -31,9 +31,7 @@ struct ClusterMetrics {
 /// (send to delivery, launch latency + contention + transfer).  HDR-style
 /// histogram: exact below 16 cycles, then 16 linear sub-buckets per
 /// power-of-two range, so any quantile is within ~6% of the true value.
-/// Samples are recorded at packet launch, which always happens in the
-/// deterministic serial order (inline or at a window barrier), so the
-/// histogram is bit-identical across host thread counts.
+/// Samples are recorded when a packet is launched, at send time.
 struct LatencyHistogram {
   static constexpr std::size_t kSub = 16;
 
@@ -95,7 +93,7 @@ struct MachineMetrics {
 
   /// Exhaustive, byte-stable dump of every counter (one line per field).
   /// Two runs are bit-identical iff their dumps compare equal; the
-  /// determinism tests diff this across host thread counts.
+  /// determinism tests diff this across repeated runs.
   std::string dump() const;
 };
 

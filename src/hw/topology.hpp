@@ -9,13 +9,12 @@
 // the per-byte transfer cost, and the contention channel packets serialize
 // on; the Machine consults it for every inter-cluster send.
 //
-// Determinism contract: the conservative PDES window width of the event
-// engine is derived from min_launch_delay(), the greatest lower bound of
-// launch_delay over all pairs and all times.  A packet sent at time t in
-// window [B, B+W) therefore cannot be delivered before B+W, so cross-shard
-// deliveries still happen exclusively at window barriers and results stay
-// bit-identical at every host thread count — for every topology.
-// launch_delay must be a pure function of (src, dst, at).
+// Window contract: the event engine's window width is min_launch_delay(),
+// the greatest lower bound of launch_delay over all pairs and all times.
+// A packet sent at time t in window [B, B+W) therefore cannot be delivered
+// before B+W, so a cross-cluster delivery always lands in a later phase
+// than its send, for every topology.  launch_delay must be a pure function
+// of (src, dst, at), so a seed reproduces a run bit for bit.
 //
 // Degraded variants (brownouts, severed links) are expressed with
 // DegradedTopology; severed links use the same per-link severing the
@@ -44,7 +43,7 @@ class Topology {
   /// Launch latency of a packet committed to the network at virtual time
   /// `at` on the directed link src -> dst, in cycles.  Pure in (src, dst,
   /// at); must be >= min_launch_delay() for every input (checked at launch
-  /// time), since the PDES lookahead is derived from that bound.
+  /// time), since the engine window is derived from that bound.
   virtual Cycles launch_delay(ClusterId src, ClusterId dst,
                               Cycles at) const = 0;
 
@@ -52,7 +51,7 @@ class Topology {
   virtual double cycles_per_byte(ClusterId src, ClusterId dst) const = 0;
 
   /// Greatest lower bound of launch_delay over all distinct pairs and all
-  /// times: the conservative PDES window width.  Must be > 0.
+  /// times: the engine's window width.  Must be > 0.
   virtual Cycles min_launch_delay() const = 0;
 
   /// Least upper bound of launch_delay (fault-free paths).  Feeds derived
@@ -176,7 +175,7 @@ class RotorTopology final : public Topology {
 /// down from t=0 (exactly the effect of FaultPlan::fail_link at time 0,
 /// and convertible to that plan via equivalent_fault_plan()).  The window
 /// stays the base topology's min launch delay — degradation only ever
-/// increases latency, so the lookahead bound remains valid.
+/// increases latency, so the window bound remains valid.
 class DegradedTopology final : public Topology {
  public:
   struct Brownout {

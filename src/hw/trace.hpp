@@ -36,6 +36,8 @@ struct TraceEvent {
   ClusterId cluster;            ///< where it happened (destination for sends)
   std::uint32_t pe = 0xffffffffu;  ///< PE index, if applicable
   std::size_t bytes = 0;        ///< message size, if applicable
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 class Tracer {

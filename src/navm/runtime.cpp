@@ -2,44 +2,6 @@
 
 namespace fem2::navm {
 
-namespace {
-
-// Registry locks engage only during parallel engine phases; everywhere
-// else a single thread owns the registries (see sysvm/os.cpp).
-class OptSharedLock {
- public:
-  OptSharedLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock_shared();
-  }
-  ~OptSharedLock() {
-    if (mutex_ != nullptr) mutex_->unlock_shared();
-  }
-  OptSharedLock(const OptSharedLock&) = delete;
-  OptSharedLock& operator=(const OptSharedLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-class OptUniqueLock {
- public:
-  OptUniqueLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock();
-  }
-  ~OptUniqueLock() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-  OptUniqueLock(const OptUniqueLock&) = delete;
-  OptUniqueLock& operator=(const OptUniqueLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-}  // namespace
-
 Runtime::Runtime(sysvm::Os& os) : os_(os) {
   register_builtin_procedures();
   next_array_.assign(os_.machine().engine().shard_count(), 0);
@@ -61,8 +23,6 @@ std::uint64_t Runtime::make_collector_id() {
 }
 
 void Runtime::purge_owned_by(sysvm::TaskId task) {
-  OptUniqueLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
   std::erase_if(arrays_,
                 [task](const auto& kv) { return kv.second.owner == task; });
   std::erase_if(collectors_,
@@ -112,50 +72,37 @@ Window Runtime::create_array(TaskContext& ctx, std::size_t rows,
   info.cols = cols;
   info.data = std::move(init);
   const ArrayId id = info.id;
-  {
-    OptUniqueLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    arrays_.emplace(id, std::move(info));
-  }
+  arrays_.emplace(id, std::move(info));
   const Window full{id, 0, 0, rows, cols};
   if (observer_ != nullptr) {
-    os_.sequenced([obs = observer_, id, owner = ctx.self(), full] {
-      obs->on_array_created(id, owner);
-      obs->on_array_write(full);  // the initialization store
-    });
+    observer_->on_array_created(id, ctx.self());
+    observer_->on_array_write(full);  // the initialization store
   }
   return full;
 }
 
 const Runtime::ArrayInfo& Runtime::array_info(ArrayId id) const {
-  const ArrayInfo* info = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = arrays_.find(id);
-    if (it != arrays_.end()) info = &it->second;
-  }
-  if (info == nullptr) {
+  const auto it = arrays_.find(id);
+  if (it == arrays_.end()) {
     throw support::Error(
         "window refers to array " + std::to_string(id) +
         " which no longer exists (its owner task was lost with its cluster "
         "and reaped during recovery)");
   }
-  FEM2_CHECK_MSG(!os_.task_finished(info->owner),
+  const ArrayInfo& info = it->second;
+  FEM2_CHECK_MSG(!os_.task_finished(info.owner),
                  "window refers to an array whose owner task terminated "
                  "(data lifetime is the owner's lifetime)");
-  if (!os_.machine().cluster_alive(info->cluster)) {
+  if (!os_.machine().cluster_alive(info.cluster)) {
     throw support::Error(
         "window refers to array " + std::to_string(id) + " on cluster " +
-        std::to_string(info->cluster.index) +
+        std::to_string(info.cluster.index) +
         ", which has failed; the data is unrecoverable");
   }
-  return *info;
+  return info;
 }
 
 std::vector<ArrayId> Runtime::array_ids() const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
   std::vector<ArrayId> out;
   out.reserve(arrays_.size());
   for (const auto& [id, info] : arrays_) out.push_back(id);
@@ -163,8 +110,6 @@ std::vector<ArrayId> Runtime::array_ids() const {
 }
 
 const Runtime::ArrayInfo& Runtime::array_info_unchecked(ArrayId id) const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
   const auto it = arrays_.find(id);
   FEM2_CHECK_MSG(it != arrays_.end(), "unknown array id");
   return it->second;
@@ -175,10 +120,7 @@ hw::ClusterId Runtime::window_cluster(const Window& window) const {
 }
 
 std::vector<double> Runtime::gather(const Window& window) const {
-  if (observer_ != nullptr) {
-    os_.sequenced(
-        [obs = observer_, window] { obs->on_array_read(window); });
-  }
+  if (observer_ != nullptr) observer_->on_array_read(window);
   const ArrayInfo& info = array_info(window.array);
   FEM2_CHECK_MSG(window.row0 + window.rows <= info.rows &&
                      window.col0 + window.cols <= info.cols,
@@ -194,18 +136,11 @@ std::vector<double> Runtime::gather(const Window& window) const {
 }
 
 void Runtime::note_remote_window_wait(const Window& window, hw::Cycles wait) {
-  if (observer_ == nullptr) return;
-  os_.sequenced(
-      [obs = observer_, window, wait] {
-        obs->on_remote_window_wait(window, wait);
-      });
+  if (observer_ != nullptr) observer_->on_remote_window_wait(window, wait);
 }
 
 void Runtime::scatter(const Window& window, std::span<const double> data) {
-  if (observer_ != nullptr) {
-    os_.sequenced(
-        [obs = observer_, window] { obs->on_array_write(window); });
-  }
+  if (observer_ != nullptr) observer_->on_array_write(window);
   const ArrayInfo& const_info = array_info(window.array);
   auto& info = const_cast<ArrayInfo&>(const_info);
   FEM2_CHECK_MSG(data.size() == window.elements(),
@@ -224,38 +159,22 @@ std::uint64_t Runtime::make_collector(TaskContext& ctx, std::size_t expected) {
   c.owner = ctx.self();
   c.cluster = ctx.cluster();
   const std::uint64_t id = make_collector_id();
-  {
-    OptUniqueLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    collectors_.emplace(id, std::move(c));
-  }
+  collectors_.emplace(id, std::move(c));
   return id;
 }
 
 bool Runtime::collector_full(std::uint64_t id) const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
   const auto it = collectors_.find(id);
   FEM2_CHECK_MSG(it != collectors_.end(), "unknown collector");
   return it->second.items.size() >= it->second.expected;
 }
 
 std::vector<sysvm::Payload> Runtime::collector_take(std::uint64_t id) {
-  Collector* cp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = collectors_.find(id);
-    if (it != collectors_.end()) cp = &it->second;
-  }
-  FEM2_CHECK_MSG(cp != nullptr, "unknown collector");
-  auto& c = *cp;
+  const auto it = collectors_.find(id);
+  FEM2_CHECK_MSG(it != collectors_.end(), "unknown collector");
+  auto& c = it->second;
   FEM2_CHECK_MSG(c.items.size() >= c.expected, "collector not full");
-  if (observer_ != nullptr) {
-    os_.sequenced([obs = observer_, id, owner = c.owner] {
-      obs->on_collector_take(id, owner);
-    });
-  }
+  if (observer_ != nullptr) observer_->on_collector_take(id, c.owner);
   std::vector<sysvm::Payload> out = std::move(c.items);
   c.items.clear();  // auto-reset for the next phase
   c.waiting_token = 0;
@@ -263,21 +182,13 @@ std::vector<sysvm::Payload> Runtime::collector_take(std::uint64_t id) {
 }
 
 void Runtime::collector_arm(std::uint64_t id, sysvm::CallToken token) {
-  Collector* cp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = collectors_.find(id);
-    if (it != collectors_.end()) cp = &it->second;
-  }
-  FEM2_CHECK_MSG(cp != nullptr, "unknown collector");
-  FEM2_CHECK_MSG(cp->waiting_token == 0, "collector already armed");
-  cp->waiting_token = token;
+  const auto it = collectors_.find(id);
+  FEM2_CHECK_MSG(it != collectors_.end(), "unknown collector");
+  FEM2_CHECK_MSG(it->second.waiting_token == 0, "collector already armed");
+  it->second.waiting_token = token;
 }
 
 std::vector<Runtime::CollectorInfo> Runtime::collector_infos() const {
-  OptSharedLock lock(registry_mutex_,
-                     os_.machine().engine().in_worker_phase());
   std::vector<CollectorInfo> out;
   out.reserve(collectors_.size());
   for (const auto& [id, c] : collectors_) {
@@ -328,14 +239,8 @@ sysvm::Payload Runtime::procedure_window_write(sysvm::ProcedureContext& ctx,
 sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
                                           const sysvm::Payload& args) {
   const auto& da = args.as<DepositArgs>();
-  Collector* cp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_,
-                       os_.machine().engine().in_worker_phase());
-    const auto it = collectors_.find(da.collector);
-    if (it != collectors_.end()) cp = &it->second;
-  }
-  if (cp == nullptr) {
+  const auto it = collectors_.find(da.collector);
+  if (it == collectors_.end()) {
     // A deposit can outlive its collector when the collector's owner was
     // reaped and restarted by cluster-loss recovery.  Dropping it (while
     // still replying to the depositor) is the correct quiet outcome: the
@@ -343,7 +248,7 @@ sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
     ctx.charge_words(1);
     return sysvm::Payload{};
   }
-  auto& c = *cp;
+  auto& c = it->second;
   FEM2_CHECK_MSG(c.cluster == ctx.cluster,
                  "deposit routed to the wrong cluster");
   ctx.charge_words(4);  // bookkeeping
@@ -353,12 +258,7 @@ sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
     // accepted from its previous incarnation; count it once.
     return sysvm::Payload{};
   }
-  if (observer_ != nullptr) {
-    os_.sequenced(
-        [obs = observer_, collector = da.collector, depositor = da.depositor] {
-          obs->on_deposit(collector, depositor);
-        });
-  }
+  if (observer_ != nullptr) observer_->on_deposit(da.collector, da.depositor);
   c.items.push_back(da.value);
   if (c.items.size() >= c.expected && c.waiting_token != 0) {
     // Wake the waiting task with a local remote-return.

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -176,8 +175,8 @@ class Runtime {
   void register_builtin_procedures();
   /// Task-reaper hook: drop arrays and collectors owned by a reaped task.
   void purge_owned_by(sysvm::TaskId task);
-  /// Ids are striped per engine shard (id = n * shards + shard + 1) so
-  /// serial and parallel runs allocate identical values.
+  /// Ids come from the allocating kernel's own counter, striped by engine
+  /// shard (id = n * shards + shard + 1), like the OS's task ids.
   ArrayId make_array_id();
   std::uint64_t make_collector_id();
   sysvm::Payload procedure_window_read(sysvm::ProcedureContext& ctx,
@@ -188,11 +187,6 @@ class Runtime {
                                    const sysvm::Payload& args);
 
   sysvm::Os& os_;
-  /// Guards the *structure* of arrays_ / collectors_ (insert, erase, find)
-  /// during parallel phases.  Entry contents are touched only by the
-  /// owning cluster's shard (window procedures are routed to the array's
-  /// cluster) or stop-world recovery, so no lock is held around them.
-  mutable std::shared_mutex registry_mutex_;
   std::map<ArrayId, ArrayInfo> arrays_;
   std::map<std::uint64_t, Collector> collectors_;
   std::vector<std::uint64_t> next_array_;      ///< one counter per shard

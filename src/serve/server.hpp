@@ -8,10 +8,9 @@
 // most one worker at a time, so its commands execute in submission order
 // with no locking inside the command interpreter.
 //
-// Workers follow the host engine's pool shape (hw/event.cpp): a bounded
-// spin-with-yield on the ready count for latency, then a condition
-// variable for the idle tail.  Pool width honors FEM2_HOST_THREADS like
-// the simulation pool does.
+// An idle worker spins briefly (with yield) on the ready count for
+// latency, then parks on a condition variable for the idle tail.  Pool
+// width honors FEM2_HOST_THREADS.
 //
 // Admission control runs before anything is queued: per-tenant session,
 // inflight and rate quotas (admission.hpp) answer QuotaExceeded, and a

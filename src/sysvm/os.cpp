@@ -8,46 +8,6 @@
 
 namespace fem2::sysvm {
 
-namespace {
-
-// Registry locks engage only while a parallel phase is executing; outside
-// phases (serial mode, barriers, stop-world recovery, host calls) exactly
-// one thread touches the registries and the phase barrier already orders
-// the accesses, so the lock would be pure overhead.
-class OptSharedLock {
- public:
-  OptSharedLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock_shared();
-  }
-  ~OptSharedLock() {
-    if (mutex_ != nullptr) mutex_->unlock_shared();
-  }
-  OptSharedLock(const OptSharedLock&) = delete;
-  OptSharedLock& operator=(const OptSharedLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-class OptUniqueLock {
- public:
-  OptUniqueLock(std::shared_mutex& mutex, bool engage)
-      : mutex_(engage ? &mutex : nullptr) {
-    if (mutex_ != nullptr) mutex_->lock();
-  }
-  ~OptUniqueLock() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-  OptUniqueLock(const OptUniqueLock&) = delete;
-  OptUniqueLock& operator=(const OptUniqueLock&) = delete;
-
- private:
-  std::shared_mutex* mutex_;
-};
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TaskApi
 
@@ -96,11 +56,7 @@ std::vector<TaskId> TaskApi::initiate(
     m.params = params_for ? params_for(i) : Payload{};
     ids.push_back(m.task);
     const hw::ClusterId target = os_.choose_cluster(source);
-    {
-      OptUniqueLock lock(os_.registry_mutex_,
-                         os_.machine().engine().in_worker_phase());
-      os_.task_homes_.emplace(m.task, target);
-    }
+    os_.task_homes_.emplace(m.task, target);
     outgoing_.emplace_back(target, Message{std::move(m)});
   }
   return ids;
@@ -274,10 +230,8 @@ Os::Os(hw::Machine& machine, OsOptions options)
   lanes_.resize(machine_.engine().shard_count());
   for (auto& lane : lanes_) lane.load_delta.assign(cluster_count, 0);
   load_board_.assign(cluster_count, 0);
-  // The channel maps are fully populated up front so runtime lookups never
-  // mutate the map structure (lookups happen concurrently across shards
-  // during parallel phases; each channel's state itself is touched only by
-  // its owning shard or stop-world recovery).
+  // The channel maps are fully populated up front, one channel per
+  // directed cluster pair.
   for (std::uint32_t s = 0; s < cluster_count; ++s) {
     for (std::uint32_t d = 0; d < cluster_count; ++d) {
       if (s == d) continue;
@@ -289,15 +243,10 @@ Os::Os(hw::Machine& machine, OsOptions options)
   machine_.set_work_lost_handler([this](hw::ClusterId c) { on_work_lost(c); });
   machine_.set_cluster_lost_handler(
       [this](hw::ClusterId c) { on_cluster_lost(c); });
-  machine_.engine().add_barrier_hook([this] { replay_observations(); });
   machine_.engine().add_refresh_hook([this] { refresh_load_board(); });
 }
 
 Os::ShardLane& Os::lane() {
-  return lanes_[machine_.engine().current_shard()];
-}
-
-const Os::ShardLane& Os::lane() const {
   return lanes_[machine_.engine().current_shard()];
 }
 
@@ -317,39 +266,6 @@ CallToken Os::allocate_call_token() {
   const std::size_t idx = machine_.engine().current_shard();
   ShardLane& lane = lanes_[idx];
   return lane.next_call_token++ * lanes_.size() + idx + 1;
-}
-
-void Os::sequenced(std::function<void()> thunk) {
-  auto& engine = machine_.engine();
-  if (!engine.in_worker_phase()) {
-    thunk();
-    return;
-  }
-  lanes_[engine.current_shard()].observations.emplace_back(
-      engine.current_key(), std::move(thunk));
-}
-
-void Os::notify_observer(std::function<void(OsObserver&)> fill) {
-  if (observer_ == nullptr) return;
-  sequenced([obs = observer_, fill = std::move(fill)] { fill(*obs); });
-}
-
-void Os::replay_observations() {
-  std::size_t total = 0;
-  for (const ShardLane& lane : lanes_) total += lane.observations.size();
-  if (total == 0) return;
-  std::vector<std::pair<hw::EventKey, std::function<void()>>> all;
-  all.reserve(total);
-  for (ShardLane& lane : lanes_) {
-    for (auto& entry : lane.observations) all.push_back(std::move(entry));
-    lane.observations.clear();
-  }
-  // stable_sort keeps the append order of thunks with equal keys; all
-  // thunks of one event live in one lane, so this is the emission order.
-  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  for (auto& [key, thunk] : all) thunk();
 }
 
 void Os::refresh_load_board() {
@@ -391,10 +307,7 @@ TaskId Os::launch(const std::string& task_type, Payload params,
   m.params = std::move(params);
   const TaskId id = m.task;
   const hw::ClusterId target = choose_cluster(from);
-  {
-    OptUniqueLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    task_homes_.emplace(id, target);
-  }
+  task_homes_.emplace(id, target);
   send(from, target, Message{std::move(m)});
   return id;
 }
@@ -404,13 +317,11 @@ void Os::run() { machine_.engine().run(); }
 TaskState Os::task_state(TaskId task) const { return record(task).state; }
 
 bool Os::task_finished(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   const auto it = tasks_.find(task);
   return it != tasks_.end() && it->second.state == TaskState::Finished;
 }
 
 bool Os::task_known(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   const auto it = tasks_.find(task);
   return it != tasks_.end() && it->second.state != TaskState::Finished;
 }
@@ -423,7 +334,6 @@ const Payload& Os::task_result(TaskId task) const {
 }
 
 hw::ClusterId Os::task_cluster(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   const auto it = task_homes_.find(task);
   FEM2_CHECK_MSG(it != task_homes_.end(),
                  "unknown task id " + std::to_string(task));
@@ -431,7 +341,6 @@ hw::ClusterId Os::task_cluster(TaskId task) const {
 }
 
 std::size_t Os::live_tasks() const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   std::size_t n = 0;
   for (const auto& [id, rec] : tasks_)
     if (rec.state != TaskState::Finished) ++n;
@@ -439,7 +348,6 @@ std::size_t Os::live_tasks() const {
 }
 
 std::vector<TaskId> Os::task_ids() const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   std::vector<TaskId> out;
   out.reserve(tasks_.size());
   for (const auto& [id, rec] : tasks_) out.push_back(id);
@@ -485,7 +393,6 @@ Os::WaitInfo Os::wait_info(TaskId task) const {
 }
 
 std::vector<Os::PendingCallInfo> Os::pending_call_infos() const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   std::vector<PendingCallInfo> out;
   out.reserve(pending_calls_.size());
   for (const auto& [token, call] : pending_calls_)
@@ -513,36 +420,7 @@ Heap& Os::heap(hw::ClusterId cluster) {
   return heaps_[cluster.index];
 }
 
-const OsStats& Os::metrics() const {
-  metrics_ = OsStats{};
-  for (const ShardLane& lane : lanes_) {
-    const OsStats& s = lane.stats;
-    for (std::size_t i = 0; i < kMessageTypeCount; ++i) {
-      metrics_.messages_sent[i] += s.messages_sent[i];
-      metrics_.message_bytes_sent[i] += s.message_bytes_sent[i];
-    }
-    metrics_.tasks_initiated += s.tasks_initiated;
-    metrics_.tasks_finished += s.tasks_finished;
-    metrics_.procedures_executed += s.procedures_executed;
-    metrics_.kernel_dispatches += s.kernel_dispatches;
-    metrics_.steps_executed += s.steps_executed;
-    metrics_.steps_redone += s.steps_redone;
-    metrics_.ready_queue_peak =
-        std::max(metrics_.ready_queue_peak, s.ready_queue_peak);
-    metrics_.retransmissions += s.retransmissions;
-    metrics_.duplicates_dropped += s.duplicates_dropped;
-    metrics_.acks_sent += s.acks_sent;
-    metrics_.clusters_lost += s.clusters_lost;
-    metrics_.tasks_relocated += s.tasks_relocated;
-    metrics_.trees_restarted += s.trees_restarted;
-    metrics_.orphans_reaped += s.orphans_reaped;
-    metrics_.stale_messages_dropped += s.stale_messages_dropped;
-  }
-  return metrics_;
-}
-
 Os::TaskRecord& Os::record(TaskId task) {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   const auto it = tasks_.find(task);
   FEM2_CHECK_MSG(it != tasks_.end(),
                  "unknown task id " + std::to_string(task));
@@ -550,7 +428,6 @@ Os::TaskRecord& Os::record(TaskId task) {
 }
 
 const Os::TaskRecord& Os::record(TaskId task) const {
-  OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   const auto it = tasks_.find(task);
   FEM2_CHECK_MSG(it != tasks_.end(),
                  "unknown task id " + std::to_string(task));
@@ -566,10 +443,9 @@ hw::ClusterId Os::choose_cluster(hw::ClusterId source) {
   // The chosen cluster's load is reserved immediately (not when the
   // initiate message travels), so a burst of initiations within one task
   // step spreads instead of piling onto the momentarily-least-loaded
-  // cluster.  Loads are read from the window-stale board plus this lane's
-  // own pending deltas — identical in serial and parallel mode, so
-  // placement is thread-count invariant.  Every policy places on live
-  // clusters only; a dead Local source falls back to least-loaded.
+  // cluster.  Loads are read from the window-stale board plus this
+  // kernel's own pending deltas.  Every policy places on live clusters
+  // only; a dead Local source falls back to least-loaded.
   ShardLane& ln = lane();
   switch (options_.placement) {
     case Placement::Local:
@@ -619,9 +495,9 @@ void Os::send(hw::ClusterId from, hw::ClusterId to, Message message) {
   // Code distribution: an initiate to a cluster that has not loaded the
   // task type is preceded by a load-code message (FIFO channel order
   // guarantees it arrives first).  Shipping decisions are tracked per
-  // lane so they need no cross-shard state; a cluster may receive the
-  // same code block from two lanes, which models independent kernels
-  // shipping without a global directory.
+  // kernel lane; a cluster may receive the same code block from two
+  // kernels, which models independent kernels shipping without a global
+  // directory.
   if (options_.code_loading) {
     if (const auto* init = std::get_if<MsgInitiate>(&message)) {
       ShardLane& ln = lane();
@@ -642,22 +518,16 @@ void Os::send(hw::ClusterId from, hw::ClusterId to, Message message) {
   // receiver can reject calls from reaped incarnations.
   if (auto* call = std::get_if<MsgRemoteCall>(&message)) {
     if (call->caller != kNoTask) {
-      const bool phase = machine_.engine().in_worker_phase();
-      {
-        OptSharedLock lock(registry_mutex_, phase);
-        const auto it = tasks_.find(call->caller);
-        if (it != tasks_.end()) call->caller_epoch = it->second.incarnation;
-      }
-      OptUniqueLock lock(registry_mutex_, phase);
+      const auto it = tasks_.find(call->caller);
+      if (it != tasks_.end()) call->caller_epoch = it->second.incarnation;
       pending_calls_[call->token] = {call->caller, to, call->caller_epoch};
     }
   }
 
   const auto type_idx = static_cast<std::size_t>(message_type(message));
   const std::size_t bytes = message_bytes(message);
-  OsStats& stats = lane().stats;
-  stats.messages_sent[type_idx] += 1;
-  stats.message_bytes_sent[type_idx] += bytes;
+  stats_.messages_sent[type_idx] += 1;
+  stats_.message_bytes_sent[type_idx] += bytes;
 
   // Inter-cluster messages ride the reliable channel when enabled;
   // intra-cluster handoffs go through shared memory and cannot drop.
@@ -679,7 +549,7 @@ void Os::transmit_frame(hw::ClusterId from, hw::ClusterId to,
 }
 
 void Os::send_ack(hw::ClusterId from, hw::ClusterId to, std::uint64_t seq) {
-  lane().stats.acks_sent += 1;
+  stats_.acks_sent += 1;
   Frame frame{Frame::Kind::Ack, from.index, seq, Message{MsgLoadCode{}}};
   machine_.send_packet(from, to, kAckBytes, std::any(std::move(frame)));
 }
@@ -710,7 +580,7 @@ void Os::retransmit(hw::ClusterId from, hw::ClusterId to, std::uint64_t seq) {
     case hw::RetransmitDecision::Resend:
       break;
   }
-  lane().stats.retransmissions += 1;
+  stats_.retransmissions += 1;
   transmit_frame(from, to, seq, *cit->second.message(seq));
   arm_retransmit(from, to, seq, cit->second.attempts(seq));
 }
@@ -724,7 +594,7 @@ void Os::service(hw::ClusterId cluster) {
   if (!kernel.valid()) return;  // whole cluster failed: messages stall
   if (!machine_.try_acquire_pe(kernel)) return;
   state.dispatching = true;
-  lane().stats.kernel_dispatches += 1;
+  stats_.kernel_dispatches += 1;
   machine_.occupy(kernel, machine_.config().kernel_dispatch,
                   [this, cluster, kernel] {
                     // Decode while the kernel PE is still held so a nested
@@ -759,7 +629,7 @@ void Os::decode(hw::ClusterId cluster, Packet_t&& packet) {
     send_ack(cluster, src, frame->seq);
     auto admission = channel.admit(frame->seq, std::move(frame->message));
     if (admission.duplicate) {
-      lane().stats.duplicates_dropped += 1;
+      stats_.duplicates_dropped += 1;
       return;
     }
     for (Message& released : admission.delivered)
@@ -772,11 +642,7 @@ void Os::decode(hw::ClusterId cluster, Packet_t&& packet) {
 
 void Os::deliver(hw::ClusterId cluster, hw::ClusterId from,
                  Message&& message) {
-  if (observer_ != nullptr) {
-    notify_observer([cluster, m = message](OsObserver& o) {
-      o.on_message(cluster, m);
-    });
-  }
+  if (observer_ != nullptr) observer_->on_message(cluster, message);
   std::visit(
       [&](auto&& m) {
         using T = std::decay_t<decltype(m)>;
@@ -796,9 +662,8 @@ void Os::push_ready(hw::ClusterId cluster, ReadyItem item, bool front) {
   } else {
     state.ready.push_back(std::move(item));
   }
-  OsStats& stats = lane().stats;
-  stats.ready_queue_peak =
-      std::max<std::uint64_t>(stats.ready_queue_peak, state.ready.size());
+  stats_.ready_queue_peak =
+      std::max<std::uint64_t>(stats_.ready_queue_peak, state.ready.size());
   assign_workers(cluster);
 }
 
@@ -829,17 +694,13 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
     // under the same id) is stale: executing it would act on behalf of a
     // task incarnation that no longer exists.
     if (proc_work->call.caller != kNoTask) {
-      bool stale = false;
-      {
-        OptSharedLock lock(registry_mutex_,
-                           machine_.engine().in_worker_phase());
-        const auto cit = tasks_.find(proc_work->call.caller);
-        stale = cit == tasks_.end() ||
-                (proc_work->call.caller_epoch != 0 &&
-                 cit->second.incarnation != proc_work->call.caller_epoch);
-      }
+      const auto cit = tasks_.find(proc_work->call.caller);
+      const bool stale =
+          cit == tasks_.end() ||
+          (proc_work->call.caller_epoch != 0 &&
+           cit->second.incarnation != proc_work->call.caller_epoch);
       if (stale) {
-        lane().stats.stale_messages_dropped += 1;
+        stats_.stale_messages_dropped += 1;
         machine_.release_worker(pe);
         return;
       }
@@ -850,20 +711,16 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
                      "remote call to unknown procedure: " +
                          proc_work->call.procedure);
       ProcedureContext ctx{*this, pe.cluster};
-      if (observer_ != nullptr) {
-        notify_observer([call = proc_work->call, c = pe.cluster](
-                            OsObserver& o) { o.on_procedure_begin(call, c); });
-      }
+      if (observer_ != nullptr)
+        observer_->on_procedure_begin(proc_work->call, pe.cluster);
       proc_work->result = it->second.fn(ctx, proc_work->call.args);
-      if (observer_ != nullptr) {
-        notify_observer([call = proc_work->call, c = pe.cluster](
-                            OsObserver& o) { o.on_procedure_end(call, c); });
-      }
+      if (observer_ != nullptr)
+        observer_->on_procedure_end(proc_work->call, pe.cluster);
       proc_work->cycles = std::max<hw::Cycles>(1, ctx.charged);
       proc_work->executed = true;
-      lane().stats.procedures_executed += 1;
+      stats_.procedures_executed += 1;
     } else {
-      lane().stats.steps_redone += 1;
+      stats_.steps_redone += 1;
     }
     const hw::Cycles duration =
         proc_work->cycles + config.message_sw_overhead;  // format the return
@@ -885,19 +742,14 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
   }
 
   const TaskId task = std::get<TaskId>(item);
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto tit = tasks_.find(task);
-    if (tit != tasks_.end()) recp = &tit->second;
-  }
-  if (recp == nullptr) {
+  const auto tit = tasks_.find(task);
+  if (tit == tasks_.end()) {
     // Reaped by cluster-loss recovery while queued.
-    lane().stats.stale_messages_dropped += 1;
+    stats_.stale_messages_dropped += 1;
     machine_.release_worker(pe);
     return;
   }
-  auto& rec = *recp;
+  auto& rec = tit->second;
   FEM2_CHECK_MSG(rec.state == TaskState::Ready,
                  "starting work on a task that is not ready");
   rec.state = TaskState::Running;
@@ -906,22 +758,18 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
     rec.api->begin_step();
     Payload wake = std::move(rec.wake_value);
     rec.wake_value = Payload{};
-    if (observer_ != nullptr) {
-      notify_observer([task](OsObserver& o) { o.on_step_begin(task); });
-    }
+    if (observer_ != nullptr) observer_->on_step_begin(task);
     rec.step = rec.program->resume(std::move(wake));
-    if (observer_ != nullptr) {
-      notify_observer([task](OsObserver& o) { o.on_step_end(task); });
-    }
+    if (observer_ != nullptr) observer_->on_step_end(task);
     rec.step_sends = std::move(rec.api->outgoing_);
     rec.api->outgoing_.clear();
     rec.step.cycles = std::max<hw::Cycles>(
         1, rec.api->charged_ +
                rec.step_sends.size() * config.message_sw_overhead);
     rec.step_pending = true;
-    lane().stats.steps_executed += 1;
+    stats_.steps_executed += 1;
   } else {
-    lane().stats.steps_redone += 1;
+    stats_.steps_redone += 1;
   }
 
   running_[pe_key(config, pe)] = task;
@@ -935,19 +783,13 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
 
 void Os::complete_task_step(hw::PeId pe, TaskId task,
                             std::uint64_t incarnation) {
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(task);
-    if (it != tasks_.end() && it->second.incarnation == incarnation)
-      recp = &it->second;
-  }
-  if (recp == nullptr) {
+  const auto it = tasks_.find(task);
+  if (it == tasks_.end() || it->second.incarnation != incarnation) {
     // The task was reaped (and possibly re-initiated elsewhere) while this
     // step was charging cycles; its buffered effects die unapplied.
     return;
   }
-  auto& rec = *recp;
+  auto& rec = it->second;
   rec.step_pending = false;
 
   // Applying a send is the first moment the outside world can observe this
@@ -965,11 +807,7 @@ void Os::complete_task_step(hw::PeId pe, TaskId task,
 
   // Apply buffered sends.
   for (auto& [dst, msg] : rec.step_sends) {
-    if (observer_ != nullptr) {
-      notify_observer([id = rec.id, dst = dst, m = msg](OsObserver& o) {
-        o.on_task_send(id, dst, m);
-      });
-    }
+    if (observer_ != nullptr) observer_->on_task_send(rec.id, dst, msg);
     send(rec.cluster, dst, std::move(msg));
   }
   rec.step_sends.clear();
@@ -992,11 +830,9 @@ void Os::complete_task_step(hw::PeId pe, TaskId task,
 void Os::finish_task(TaskRecord& rec) {
   rec.state = TaskState::Finished;
   rec.result = rec.program->take_result();
-  lane().stats.tasks_finished += 1;
+  stats_.tasks_finished += 1;
   lane().load_delta[rec.cluster.index] -= 1;
-  if (observer_ != nullptr) {
-    notify_observer([id = rec.id](OsObserver& o) { o.on_task_finished(id); });
-  }
+  if (observer_ != nullptr) observer_->on_task_finished(rec.id);
 
   // Release the activation record and any task-owned heap blocks
   // ("data lifetime - lifetime of owner task").
@@ -1019,12 +855,9 @@ void Os::finish_task(TaskRecord& rec) {
     m.parent = rec.parent;
     m.result = rec.result;
     const hw::ClusterId dst = task_cluster(rec.parent);
-    if (observer_ != nullptr) {
-      notify_observer([id = rec.id, dst, m = Message{m}](OsObserver& o) {
-        o.on_task_send(id, dst, m);
-      });
-    }
-    send(rec.cluster, dst, Message{std::move(m)});
+    Message msg{std::move(m)};
+    if (observer_ != nullptr) observer_->on_task_send(rec.id, dst, msg);
+    send(rec.cluster, dst, std::move(msg));
   }
 }
 
@@ -1092,9 +925,8 @@ void Os::make_ready(TaskRecord& rec, Payload wake) {
 
 void Os::on_work_lost(hw::ClusterId cluster) {
   // Requeue every work item whose PE is no longer alive, at the front so
-  // recovery happens promptly.  Only this cluster's slots are scanned —
-  // the handler runs on the cluster's own shard (or stop-world), so other
-  // clusters' slots must not be touched.
+  // recovery happens promptly.  Only this cluster's slots are scanned:
+  // the lost work belongs to the cluster whose PE failed.
   const auto& config = machine_.config();
   const std::uint64_t base =
       static_cast<std::uint64_t>(cluster.index) * config.pes_per_cluster;
@@ -1106,15 +938,9 @@ void Os::on_work_lost(hw::ClusterId cluster) {
     ReadyItem item = std::move(*slot);
     slot.reset();
     if (const auto* task = std::get_if<TaskId>(&item)) {
-      TaskRecord* recp = nullptr;
-      {
-        OptSharedLock lock(registry_mutex_,
-                           machine_.engine().in_worker_phase());
-        const auto it = tasks_.find(*task);
-        if (it != tasks_.end()) recp = &it->second;
-      }
-      if (recp == nullptr) continue;  // reaped mid-step: drop the redo
-      recp->state = TaskState::Ready;
+      const auto it = tasks_.find(*task);
+      if (it == tasks_.end()) continue;  // reaped mid-step: drop the redo
+      it->second.state = TaskState::Ready;
     }
     push_ready(cluster, std::move(item), /*front=*/true);
   }
@@ -1122,10 +948,6 @@ void Os::on_work_lost(hw::ClusterId cluster) {
 
 // ---------------------------------------------------------------------------
 // Cluster-loss recovery
-//
-// Cluster loss always runs stop-world (fault events live on the global
-// shard), so these functions never race a parallel phase; the registry
-// locks they take through the shared helpers are disengaged no-ops.
 
 std::optional<TaskId> Os::message_addressee(const Message& m) {
   return std::visit(
@@ -1169,14 +991,9 @@ TaskId Os::restart_root(TaskId task) const {
 }
 
 void Os::reap_task(TaskId task) {
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(task);
-    if (it != tasks_.end()) recp = &it->second;
-  }
-  if (recp == nullptr) return;
-  TaskRecord& rec = *recp;
+  const auto it = tasks_.find(task);
+  if (it == tasks_.end()) return;
+  TaskRecord& rec = it->second;
   if (task_reaper_) task_reaper_(task);
 
   if (machine_.cluster_alive(rec.cluster)) {
@@ -1197,13 +1014,12 @@ void Os::reap_task(TaskId task) {
       return queued != nullptr && *queued == task;
     });
   }
-  OptUniqueLock lock(registry_mutex_, machine_.engine().in_worker_phase());
   task_homes_.erase(task);
   tasks_.erase(task);
 }
 
 void Os::reinitiate_task(TaskId task) {
-  lane().stats.tasks_relocated += 1;
+  stats_.tasks_relocated += 1;
   MsgInitiate m;
   TaskId parent = kNoTask;
   {
@@ -1247,13 +1063,13 @@ void Os::flush_transport_to(hw::ClusterId cluster) {
         // The task never came to exist; re-route its initiate to a live
         // cluster (unless its parent was reaped meanwhile).
         if (init->parent != kNoTask && !tasks_.contains(init->parent)) {
-          lane().stats.stale_messages_dropped += 1;
+          stats_.stale_messages_dropped += 1;
           task_homes_.erase(init->task);
           continue;
         }
         const hw::ClusterId target = choose_cluster(source);
         task_homes_[init->task] = target;
-        lane().stats.tasks_relocated += 1;
+        stats_.tasks_relocated += 1;
         send(source, target, std::move(frame.message));
         continue;
       }
@@ -1263,7 +1079,7 @@ void Os::flush_transport_to(hw::ClusterId cluster) {
       if (!addressee || home == task_homes_.end() ||
           !tasks_.contains(*addressee) ||
           !machine_.cluster_alive(home->second)) {
-        lane().stats.stale_messages_dropped += 1;
+        stats_.stale_messages_dropped += 1;
         continue;
       }
       // Follow the addressee to its new home on a fresh channel sequence.
@@ -1286,14 +1102,14 @@ void Os::flush_transport_from(hw::ClusterId cluster) {
         if (init->parent != kNoTask && !tasks_.contains(init->parent)) {
           // Parent reaped (or itself mid-reinitiate): the restarted tree
           // re-creates its own children.
-          lane().stats.stale_messages_dropped += 1;
+          stats_.stale_messages_dropped += 1;
           task_homes_.erase(init->task);
           continue;
         }
         const hw::ClusterId source = first_alive_cluster();
         const hw::ClusterId target = choose_cluster(source);
         task_homes_[init->task] = target;
-        lane().stats.tasks_relocated += 1;
+        stats_.tasks_relocated += 1;
         send(source, target, std::move(frame.message));
         continue;
       }
@@ -1315,13 +1131,13 @@ void Os::flush_transport_from(hw::ClusterId cluster) {
       // pause/resume involves a task that lived on the dead cluster (already
       // a victim), and a lost remote return leaves its pending call intact,
       // making the caller a victim.
-      lane().stats.stale_messages_dropped += 1;
+      stats_.stale_messages_dropped += 1;
     }
   }
 }
 
 void Os::on_cluster_lost(hw::ClusterId cluster) {
-  lane().stats.clusters_lost += 1;
+  stats_.clusters_lost += 1;
 
   // The cluster's kernel state dies with the hardware: queued work, the
   // dispatch latch, its code registry, and the heap's contents.  The load
@@ -1424,9 +1240,9 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
         if (rec.parent == subtree[i]) subtree.push_back(id);
     }
     for (std::size_t i = subtree.size(); i > 1; --i) reap_task(subtree[i - 1]);
-    lane().stats.orphans_reaped += subtree.size() - 1;
+    stats_.orphans_reaped += subtree.size() - 1;
     reinitiate_task(root);
-    lane().stats.trees_restarted += 1;
+    stats_.trees_restarted += 1;
   }
 
   // Restartable leaves untouched by a tree restart relocate individually.
@@ -1455,38 +1271,20 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
 // Message handlers (run at kernel decode time)
 
 void Os::handle(hw::ClusterId cluster, MsgInitiate&& m) {
-  const bool phase = machine_.engine().in_worker_phase();
-  if (m.parent != kNoTask) {
-    bool orphan = false;
-    {
-      OptSharedLock lock(registry_mutex_, phase);
-      orphan = !tasks_.contains(m.parent);
-    }
-    if (orphan) {
-      // Orphan initiate: the parent's subtree was reaped by cluster-loss
-      // recovery while this message was in flight.  The restarted tree
-      // re-creates its own children, so this one must not run.  Undo the
-      // placement reservation made at send time.
-      lane().stats.stale_messages_dropped += 1;
-      {
-        OptUniqueLock lock(registry_mutex_, phase);
-        task_homes_.erase(m.task);
-      }
-      lane().load_delta[cluster.index] -= 1;
-      return;
-    }
+  if (m.parent != kNoTask && !tasks_.contains(m.parent)) {
+    // Orphan initiate: the parent's subtree was reaped by cluster-loss
+    // recovery while this message was in flight.  The restarted tree
+    // re-creates its own children, so this one must not run.  Undo the
+    // placement reservation made at send time.
+    stats_.stale_messages_dropped += 1;
+    task_homes_.erase(m.task);
+    lane().load_delta[cluster.index] -= 1;
+    return;
   }
-  {
-    bool duplicate = false;
-    {
-      OptSharedLock lock(registry_mutex_, phase);
-      duplicate = tasks_.contains(m.task);
-    }
-    if (duplicate) {
-      // Duplicate initiate (the task already exists here or was re-homed).
-      lane().stats.stale_messages_dropped += 1;
-      return;
-    }
+  if (tasks_.contains(m.task)) {
+    // Duplicate initiate (the task already exists here or was re-homed).
+    stats_.stale_messages_dropped += 1;
+    return;
   }
   const auto it = code_.find(m.task_type);
   FEM2_CHECK_MSG(it != code_.end(),
@@ -1525,31 +1323,20 @@ void Os::handle(hw::ClusterId cluster, MsgInitiate&& m) {
 
   const TaskId id = rec.id;
   const TaskId parent = rec.parent;
-  {
-    OptUniqueLock lock(registry_mutex_, phase);
-    tasks_.emplace(id, std::move(rec));
-  }
-  lane().stats.tasks_initiated += 1;
-  if (observer_ != nullptr) {
-    notify_observer(
-        [id, parent](OsObserver& o) { o.on_task_created(id, parent); });
-  }
+  tasks_.emplace(id, std::move(rec));
+  stats_.tasks_initiated += 1;
+  if (observer_ != nullptr) observer_->on_task_created(id, parent);
   push_ready(cluster, id);
 }
 
 void Os::handle(hw::ClusterId cluster, MsgPauseNotify&& m) {
   (void)cluster;
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(m.parent);
-    if (it != tasks_.end()) recp = &it->second;
-  }
-  if (recp == nullptr) {
-    lane().stats.stale_messages_dropped += 1;
+  const auto it = tasks_.find(m.parent);
+  if (it == tasks_.end()) {
+    stats_.stale_messages_dropped += 1;
     return;
   }
-  auto& parent = *recp;
+  auto& parent = it->second;
   parent.paused_children.push_back(m.child);
   parent.unconsumed_child_pauses += 1;
   if (parent.state == TaskState::Blocked &&
@@ -1562,17 +1349,12 @@ void Os::handle(hw::ClusterId cluster, MsgPauseNotify&& m) {
 
 void Os::handle(hw::ClusterId cluster, MsgResumeChild&& m) {
   (void)cluster;
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    const auto it = tasks_.find(m.child);
-    if (it != tasks_.end()) recp = &it->second;
-  }
-  if (recp == nullptr) {
-    lane().stats.stale_messages_dropped += 1;
+  const auto it = tasks_.find(m.child);
+  if (it == tasks_.end()) {
+    stats_.stale_messages_dropped += 1;
     return;
   }
-  auto& child = *recp;
+  auto& child = it->second;
   // Delivering a datum is external state the child cannot silently replay.
   child.restartable = false;
   if (child.state == TaskState::Paused) {
@@ -1585,21 +1367,14 @@ void Os::handle(hw::ClusterId cluster, MsgResumeChild&& m) {
 
 void Os::handle(hw::ClusterId cluster, MsgTerminateNotify&& m) {
   (void)cluster;
-  TaskRecord* childp = nullptr;
-  TaskRecord* parentp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, machine_.engine().in_worker_phase());
-    if (const auto cit = tasks_.find(m.child); cit != tasks_.end())
-      childp = &cit->second;
-    if (const auto it = tasks_.find(m.parent); it != tasks_.end())
-      parentp = &it->second;
-  }
-  if (childp != nullptr) childp->terminate_delivered = true;
-  if (parentp == nullptr) {
-    lane().stats.stale_messages_dropped += 1;
+  if (const auto cit = tasks_.find(m.child); cit != tasks_.end())
+    cit->second.terminate_delivered = true;
+  const auto it = tasks_.find(m.parent);
+  if (it == tasks_.end()) {
+    stats_.stale_messages_dropped += 1;
     return;
   }
-  auto& parent = *parentp;
+  auto& parent = it->second;
   parent.child_results.push_back(std::move(m.result));
   parent.unconsumed_child_terms += 1;
   if (parent.state == TaskState::Blocked &&
@@ -1619,22 +1394,13 @@ void Os::handle(hw::ClusterId cluster, MsgRemoteCall&& m, hw::ClusterId from) {
 
 void Os::handle(hw::ClusterId cluster, MsgRemoteReturn&& m) {
   (void)cluster;
-  const bool phase = machine_.engine().in_worker_phase();
-  {
-    OptUniqueLock lock(registry_mutex_, phase);
-    pending_calls_.erase(m.token);
-  }
-  TaskRecord* recp = nullptr;
-  {
-    OptSharedLock lock(registry_mutex_, phase);
-    const auto it = tasks_.find(m.caller);
-    if (it != tasks_.end()) recp = &it->second;
-  }
-  if (recp == nullptr) {
-    lane().stats.stale_messages_dropped += 1;
+  pending_calls_.erase(m.token);
+  const auto it = tasks_.find(m.caller);
+  if (it == tasks_.end()) {
+    stats_.stale_messages_dropped += 1;
     return;
   }
-  auto& caller = *recp;
+  auto& caller = it->second;
   if (caller.state == TaskState::Blocked &&
       caller.wait.kind == TaskApi::WaitIntent::Kind::Reply &&
       caller.wait.token == m.token) {

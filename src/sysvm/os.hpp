@@ -26,7 +26,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <variant>
 #include <vector>
@@ -238,7 +237,7 @@ struct OsStats {
   std::uint64_t total_message_bytes() const;
 
   /// Exhaustive, byte-stable dump of every counter; the determinism tests
-  /// diff this across host thread counts.
+  /// diff this across repeated runs.
   std::string dump() const;
 };
 
@@ -293,15 +292,13 @@ class Os {
   std::size_t ready_depth(hw::ClusterId cluster) const;
 
   Heap& heap(hw::ClusterId cluster);
-  /// Folds per-shard counters (deterministic shard order).  Host or
-  /// coordinator context only — never call from inside a parallel phase.
-  const OsStats& metrics() const;
-  const OsStats& stats() const { return metrics(); }
+  const OsStats& metrics() const { return stats_; }
+  const OsStats& stats() const { return stats_; }
 
   // --- extension points for higher layers (navm) ---------------------------
   /// Reserve a call token (e.g. for synthetic wake-ups built on the
-  /// remote-return path).  Tokens are striped per engine shard so parallel
-  /// and serial runs allocate identical values.
+  /// remote-return path).  Tokens are striped by the allocating kernel's
+  /// engine shard (see ShardLane).
   CallToken allocate_call_token();
   /// Inject a message into the machine as if sent from `from`.
   void post(hw::ClusterId from, hw::ClusterId to, Message message) {
@@ -324,14 +321,6 @@ class Os {
   /// Attach an observer (not owned; analysis tooling).  Pass nullptr to
   /// detach.  At most one observer at a time.
   void set_observer(OsObserver* observer) { observer_ = observer; }
-
-  /// Run `thunk` now in serial contexts, or buffer it (tagged with the
-  /// executing event's key) for replay in exact serial order at the next
-  /// window barrier when called from a parallel phase.  Observer callbacks
-  /// from every layer funnel through this single sequencer so their
-  /// relative order is preserved; thunks must capture their arguments by
-  /// value.
-  void sequenced(std::function<void()> thunk);
 
   // --- wait-state introspection (deadlock analysis) -------------------------
   /// Why a task is not running, exposed without touching TaskApi internals.
@@ -425,25 +414,24 @@ class Os {
     std::set<std::string> loaded_code;
   };
 
-  /// Per-engine-shard state: everything a cluster event may touch without
-  /// synchronization.  Lane index == engine shard index (one lane per
-  /// cluster, plus the global/host lane).  Id counters are striped
-  /// (id = n * lanes + lane + 1) so serial and parallel runs allocate
-  /// identical ids; stats fold deterministically in lane order.
+  /// One cluster kernel's own bookkeeping (lane index == engine shard
+  /// index: one lane per cluster, plus one for host and fault events).  A
+  /// kernel draws ids from its own striped counters
+  /// (id = n * lanes + lane + 1), places tasks from the window-stale load
+  /// board plus its own pending deltas, and remembers which code it has
+  /// shipped; there is no global directory.  This state is part of the
+  /// model: placement, ids, the std::map orders that follow from them and
+  /// load-code traffic all depend on it.
   struct ShardLane {
     std::uint64_t next_task_id = 0;
     std::uint64_t next_call_token = 0;
     std::uint64_t next_incarnation = 0;
     std::size_t round_robin = 0;
-    OsStats stats;
-    /// Signed placement-load adjustments this lane has made since the last
-    /// load-board refresh, indexed by cluster.
+    /// Signed placement-load adjustments this kernel has made since the
+    /// last load-board refresh, indexed by cluster.
     std::vector<std::int64_t> load_delta;
-    /// (cluster, task type) pairs this lane has shipped code for.
+    /// (cluster, task type) pairs this kernel has shipped code for.
     std::set<std::pair<std::uint32_t, std::string>> shipped_code;
-    /// Observer thunks buffered during a parallel phase, tagged with the
-    /// emitting event's key for deterministic replay.
-    std::vector<std::pair<hw::EventKey, std::function<void()>>> observations;
   };
 
   // --- reliable transport ----------------------------------------------------
@@ -479,18 +467,13 @@ class Os {
   // --- plumbing -------------------------------------------------------------
   using Packet_t = hw::Packet;
 
+  /// The lane of the executing event's kernel.
   ShardLane& lane();
-  const ShardLane& lane() const;
   TaskId make_task_id();
   std::uint64_t make_incarnation();
-  /// Barrier hook: replays buffered observer thunks in event-key order.
-  void replay_observations();
   /// Refresh hook (window boundaries): folds every lane's load deltas into
   /// the authoritative load board.
   void refresh_load_board();
-  /// Wrap an observer callback through the sequencer (no-op when no
-  /// observer is attached).  `fill` must capture by value.
-  void notify_observer(std::function<void(OsObserver&)> fill);
 
   hw::ClusterId choose_cluster(hw::ClusterId source);
   hw::ClusterId first_alive_cluster() const;
@@ -548,11 +531,6 @@ class Os {
   OsOptions options_;
   std::map<std::string, CodeBlock, std::less<>> code_;
   std::map<std::string, Procedure, std::less<>> procedures_;
-  /// Guards the *structure* of tasks_ / task_homes_ / pending_calls_
-  /// (insert, erase, find).  Record fields themselves are shard-partitioned
-  /// by home cluster (std::map nodes are address-stable), so no lock is
-  /// held while a record is read or written.
-  mutable std::shared_mutex registry_mutex_;
   std::map<TaskId, TaskRecord> tasks_;
   /// Placement decided at id-assignment time, so messages addressed to a
   /// task (e.g. resume-child) can be routed before its initiate decodes.
@@ -561,11 +539,10 @@ class Os {
   std::vector<Heap> heaps_;
   std::vector<std::optional<ReadyItem>> running_;  ///< indexed by flat PE
   std::vector<ShardLane> lanes_;  ///< one per engine shard
-  /// Authoritative placement loads, refreshed only at window boundaries
-  /// (identically in serial and parallel mode, so placement is
-  /// thread-count invariant).
+  /// Authoritative placement loads, refreshed only at window boundaries:
+  /// the kernels' shared view of cluster load is at most one window old.
   std::vector<std::int64_t> load_board_;
-  mutable OsStats metrics_;  ///< fold-on-read cache of the lane stats
+  OsStats stats_;
 
   std::map<ChannelKey, SendChannel> send_channels_;
   std::map<ChannelKey, RecvChannel> recv_channels_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analyze/analyzer.hpp"
 #include "fem/mesh.hpp"
 #include "fem/solver.hpp"
@@ -65,6 +67,27 @@ TEST(Engine, RejectsSchedulingInThePast) {
   engine.schedule(10, [] {});
   engine.run();
   EXPECT_THROW(engine.schedule_at(5, [] {}), support::CheckError);
+}
+
+// Equal-time events run in the order of the shard that scheduled them,
+// whichever queue they sit in; each event sees its own shard as current.
+TEST(Engine, EqualTimesRunInOriginShardOrder) {
+  Engine engine;
+  engine.configure(2, 100);
+  std::vector<std::string> order;
+  engine.schedule_on(1, 10, [&] {
+    EXPECT_EQ(engine.current_shard(), 1u);
+    engine.schedule_on(0, 50, [&] { order.push_back("from shard 1"); });
+  });
+  engine.schedule_on(0, 20, [&] {
+    EXPECT_EQ(engine.current_shard(), 0u);
+    engine.schedule_on(1, 50, [&] { order.push_back("from shard 0"); });
+  });
+  EXPECT_EQ(engine.current_shard(), engine.global_shard());
+  engine.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"from shard 0", "from shard 1"}));
+  EXPECT_EQ(engine.now(), 50u);
 }
 
 MachineConfig small_config() {
@@ -332,20 +355,21 @@ TEST(Machine, QueuePeakTracked) {
   EXPECT_EQ(machine.metrics().clusters[1].packets_in, 5u);
 }
 
-// The multi-threaded host backend must be invisible in the simulation:
-// the same workload, seed and fault plan at 1, 2 and 8 host threads has to
-// produce byte-identical machine metrics and OS stats dumps, bit-identical
-// displacements, and the same analyzer findings.  The workload is the full
-// stack — distributed CG solve with the analyzer attached, losing a PE at
-// 25% and a whole cluster at 50% of the fault-free run, on a lossy
+// A seeded run must reproduce itself bit for bit: the same workload, seed
+// and fault plan run twice in one process has to produce byte-identical
+// machine metrics and OS stats dumps, bit-identical displacements, the
+// same analyzer findings and the same tracer event list.  The workload is
+// the full stack — distributed CG solve with the analyzer attached, losing
+// a PE at 25% and a whole cluster at 50% of the fault-free run, on a lossy
 // network with reliable transport.
-TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
+TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
   struct Outcome {
     Cycles elapsed = 0;
     std::string machine_dump;
     std::string os_dump;
     std::vector<double> displacements;
     std::vector<std::string> findings;
+    std::vector<TraceEvent> trace;
   };
 
   MachineConfig config;
@@ -359,10 +383,10 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
   mesh.height = 1.0;
   const auto model = fem::make_cantilever_plate(mesh, 1'000.0);
 
-  const auto run = [&](unsigned threads, Cycles kill_pe_at,
-                       Cycles kill_cluster_at) {
+  const auto run = [&](Cycles kill_pe_at, Cycles kill_cluster_at) {
     Machine machine(config);
-    machine.engine().set_threads(threads);
+    Tracer tracer;
+    machine.set_tracer(&tracer);
     sysvm::OsOptions options;
     options.reliable_transport = true;
     sysvm::Os os(machine, options);
@@ -382,6 +406,7 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
     const auto solution = fem::solve_static_parallel(
         model, "tip-shear", runtime, {.workers = 8, .tolerance = 1e-8});
     analyzer.check_now();
+    EXPECT_EQ(tracer.dropped(), 0u) << "trace cap too small to compare";
 
     Outcome outcome;
     outcome.elapsed = machine.now();
@@ -391,26 +416,30 @@ TEST(Determinism, ThreadCountInvariantUnderFaultPlan) {
     for (const auto& finding : analyzer.findings())
       outcome.findings.push_back(finding.rule + "|" + finding.entity + "|" +
                                  finding.message);
+    outcome.trace = tracer.events();
     return outcome;
   };
 
   // Fault-free probe fixes the kill times relative to the run length.
-  const auto probe = run(1, 0, 0);
+  const auto probe = run(0, 0);
   ASSERT_GT(probe.elapsed, 0u);
   const Cycles kill_pe_at = probe.elapsed / 4;
   const Cycles kill_cluster_at = probe.elapsed / 2;
 
-  const auto base = run(1, kill_pe_at, kill_cluster_at);
-  for (const unsigned threads : {2u, 8u}) {
-    const auto other = run(threads, kill_pe_at, kill_cluster_at);
-    EXPECT_EQ(other.elapsed, base.elapsed) << "threads=" << threads;
-    EXPECT_EQ(other.machine_dump, base.machine_dump)
-        << "threads=" << threads;
-    EXPECT_EQ(other.os_dump, base.os_dump) << "threads=" << threads;
-    EXPECT_EQ(other.displacements, base.displacements)
-        << "threads=" << threads;
-    EXPECT_EQ(other.findings, base.findings) << "threads=" << threads;
-  }
+  const auto first = run(kill_pe_at, kill_cluster_at);
+  const auto second = run(kill_pe_at, kill_cluster_at);
+  EXPECT_EQ(second.elapsed, first.elapsed);
+  EXPECT_EQ(second.machine_dump, first.machine_dump);
+  EXPECT_EQ(second.os_dump, first.os_dump);
+  EXPECT_EQ(second.displacements, first.displacements);
+  EXPECT_EQ(second.findings, first.findings);
+  ASSERT_GT(first.trace.size(), 0u);
+  ASSERT_EQ(second.trace.size(), first.trace.size());
+  const auto diverged = std::mismatch(first.trace.begin(), first.trace.end(),
+                                      second.trace.begin());
+  EXPECT_TRUE(diverged.first == first.trace.end())
+      << "tracer event lists diverge at event "
+      << (diverged.first - first.trace.begin());
 }
 
 }  // namespace

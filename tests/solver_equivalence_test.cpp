@@ -297,8 +297,7 @@ TEST(SolverEquivalence, DistributedCgMatchesHostSolvers) {
   // Diagonal preconditioning must not cost iterations on this mesh.
   EXPECT_LE(pcg.stats.iterations, cg.stats.iterations);
 
-  // Determinism: an identical run is bit-identical (at any host thread
-  // count — CI repeats this suite under tsan with FEM2_HOST_THREADS=4).
+  // Determinism: an identical run is bit-identical.
   Fem2Stack again;
   const auto pcg2 = fem::solve_static_parallel(model, "tip-shear",
                                                again.runtime, popts);

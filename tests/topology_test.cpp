@@ -1,15 +1,18 @@
 // Topology suite: window derivation, per-topology latency math, the
 // contention-channel mapping, severed-variant parity with the FaultPlan
-// machinery, and bitwise determinism of every topology across host thread
-// counts (the TopologyDeterminism fixture is also re-run under tsan with
-// FEM2_HOST_THREADS=4 in CI).
+// machinery, and bitwise determinism of every topology across repeated
+// runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analyze/analyzer.hpp"
 #include "fem/mesh.hpp"
 #include "fem/solver.hpp"
 #include "hw/fault.hpp"
 #include "hw/machine.hpp"
 #include "hw/topology.hpp"
+#include "hw/trace.hpp"
 #include "navm/parops.hpp"
 #include "navm/runtime.hpp"
 #include "support/check.hpp"
@@ -222,10 +225,11 @@ TEST(LatencyHistogram, MachineRecordsDeliveries) {
 
 // --- determinism ------------------------------------------------------------
 
-// Bitwise determinism for every topology: the same distributed solve at 1,
-// 2 and 8 host threads must produce byte-identical machine metrics dumps
-// (which include the latency histogram) and bit-identical displacements.
-TEST(TopologyDeterminism, BitwiseAcrossThreadCountsForEveryKind) {
+// Bitwise determinism for every topology: the same distributed solve run
+// twice must produce byte-identical machine metrics dumps (which include
+// the latency histogram) and OS stats dumps, bit-identical displacements,
+// the same analyzer findings and the same tracer event list.
+TEST(TopologyDeterminism, RepeatRunBitwiseIdenticalForEveryKind) {
   fem::PlateMeshOptions mesh;
   mesh.nx = 12;
   mesh.ny = 6;
@@ -242,36 +246,51 @@ TEST(TopologyDeterminism, BitwiseAcrossThreadCountsForEveryKind) {
       std::string machine_dump;
       std::string os_dump;
       std::vector<double> displacements;
+      std::vector<std::string> findings;
+      std::vector<TraceEvent> trace;
     };
-    const auto run = [&](unsigned threads) {
+    const auto run = [&] {
       Machine machine(config);
-      machine.engine().set_threads(threads);
+      Tracer tracer;
+      machine.set_tracer(&tracer);
       sysvm::Os os(machine);
       navm::Runtime runtime(os);
       navm::register_parallel_ops(runtime);
+      analyze::Analyzer analyzer(runtime);
       const auto solution = fem::solve_static_parallel(
           model, "tip-shear", runtime, {.workers = 8, .tolerance = 1e-8});
+      analyzer.check_now();
+      EXPECT_EQ(tracer.dropped(), 0u) << "topology=" << kind;
       Outcome outcome;
       outcome.elapsed = machine.now();
       outcome.machine_dump = machine.metrics().dump();
       outcome.os_dump = os.metrics().dump();
       outcome.displacements = solution.displacements.values;
+      for (const auto& finding : analyzer.findings())
+        outcome.findings.push_back(finding.rule + "|" + finding.entity +
+                                   "|" + finding.message);
+      outcome.trace = tracer.events();
       return outcome;
     };
 
-    const auto base = run(1);
-    ASSERT_GT(base.elapsed, 0u) << "topology=" << kind;
-    for (const unsigned threads : {2u, 8u}) {
-      const auto other = run(threads);
-      EXPECT_EQ(other.elapsed, base.elapsed)
-          << "topology=" << kind << " threads=" << threads;
-      EXPECT_EQ(other.machine_dump, base.machine_dump)
-          << "topology=" << kind << " threads=" << threads;
-      EXPECT_EQ(other.os_dump, base.os_dump)
-          << "topology=" << kind << " threads=" << threads;
-      EXPECT_EQ(other.displacements, base.displacements)
-          << "topology=" << kind << " threads=" << threads;
-    }
+    const auto first = run();
+    ASSERT_GT(first.elapsed, 0u) << "topology=" << kind;
+    const auto second = run();
+    EXPECT_EQ(second.elapsed, first.elapsed) << "topology=" << kind;
+    EXPECT_EQ(second.machine_dump, first.machine_dump)
+        << "topology=" << kind;
+    EXPECT_EQ(second.os_dump, first.os_dump) << "topology=" << kind;
+    EXPECT_EQ(second.displacements, first.displacements)
+        << "topology=" << kind;
+    EXPECT_EQ(second.findings, first.findings) << "topology=" << kind;
+    ASSERT_GT(first.trace.size(), 0u) << "topology=" << kind;
+    ASSERT_EQ(second.trace.size(), first.trace.size())
+        << "topology=" << kind;
+    const auto diverged = std::mismatch(
+        first.trace.begin(), first.trace.end(), second.trace.begin());
+    EXPECT_TRUE(diverged.first == first.trace.end())
+        << "topology=" << kind << ": tracer event lists diverge at event "
+        << (diverged.first - first.trace.begin());
   }
 }
 

@@ -16,7 +16,10 @@ Policy, matching the determinism story of the simulator:
     baseline is a regression for a lower-is-better unit.
   * deterministic metrics — simulated or counted: "cycles", "msgs",
     "bytes", "iters", "steps", "nodes", "nnz", "states", "findings",
-    all lower-is-better — FAIL the run on a regression.
+    all lower-is-better — FAIL the run on a regression.  Any other
+    change to a deterministic row prints a note, however small: the
+    simulator is seeded, so a moved row is a changed model, and the
+    summary line counts these rows.
   * host-side metrics are hardware-dependent and only WARN: "ms" and
     "us" are lower-is-better, "commits/s", "states/s" and the "x"
     speed-up ratios higher-is-better.
@@ -81,8 +84,8 @@ def rows_by_metric(report: dict) -> dict[str, dict]:
 
 
 def compare(reports: dict[str, dict], baseline: dict[str, dict],
-            threshold: float) -> tuple[int, int]:
-    failures = warnings = 0
+            threshold: float) -> tuple[int, int, int]:
+    failures = warnings = changed = 0
     for experiment, report in sorted(reports.items()):
         if report is None:
             failures += 1
@@ -115,6 +118,8 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
             old, new = base_row["value"], row["value"]
             if old == new:
                 continue
+            if deterministic:
+                changed += 1
             if old == 0:
                 change, text = math.copysign(math.inf, new), "from 0"
             else:
@@ -133,10 +138,13 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
             elif change < -threshold:
                 print(f"note  {experiment}/{metric}: {old:g} -> {new:g} "
                       f"{unit} ({text}, improvement)")
+            elif deterministic:
+                print(f"note  {experiment}/{metric}: {old:g} -> {new:g} "
+                      f"{unit} ({text}, deterministic row changed)")
     for experiment in sorted(baseline.keys() - reports.keys()):
         print(f"warn  {experiment}: in baseline but no current report")
         warnings += 1
-    return failures, warnings
+    return failures, warnings, changed
 
 
 def main() -> int:
@@ -181,9 +189,10 @@ def main() -> int:
     if args.only:
         baseline = {k: v for k, v in baseline.items() if k in reports}
 
-    failures, warnings = compare(reports, baseline, args.threshold)
+    failures, warnings, changed = compare(reports, baseline, args.threshold)
     print(f"\n{len(reports)} reports, {failures} failures, "
-          f"{warnings} warnings (threshold {args.threshold:.0%})")
+          f"{warnings} warnings, deterministic rows changed: {changed} "
+          f"(threshold {args.threshold:.0%})")
     return 1 if failures else 0
 
 

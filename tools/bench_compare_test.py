@@ -18,9 +18,9 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "bench_compare.py"
 
 
-def run_gate(unit: str, old: float, new: float,
-             metric: str = "m") -> tuple[int, str]:
-    """Gate one metric moving from old to new; returns (exit code, line)."""
+def gate_output(unit: str, old: float, new: float,
+                metric: str = "m") -> tuple[int, str]:
+    """Gate one metric moving from old to new; returns (exit code, stdout)."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         report = {"experiment": "E0", "host_wall_ms": 1,
@@ -33,9 +33,15 @@ def run_gate(unit: str, old: float, new: float,
             [sys.executable, str(SCRIPT), str(root),
              "--baseline", str(root / "baseline.json")],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    verdicts = [line for line in proc.stdout.splitlines()
-                if f"E0/{metric}" in line]
-    return proc.returncode, verdicts[0] if verdicts else ""
+    return proc.returncode, proc.stdout
+
+
+def run_gate(unit: str, old: float, new: float,
+             metric: str = "m") -> tuple[int, str]:
+    """Gate one metric moving from old to new; returns (exit code, line)."""
+    code, out = gate_output(unit, old, new, metric)
+    verdicts = [line for line in out.splitlines() if f"E0/{metric}" in line]
+    return code, verdicts[0] if verdicts else ""
 
 
 class Directions(unittest.TestCase):
@@ -78,11 +84,31 @@ class Directions(unittest.TestCase):
         self.assertVerdict("ms", 0, 2, "warn", 0)
         self.assertVerdict("commits/s", 0, 2, "note", 0)
 
-    def test_within_threshold_is_silent(self):
-        for unit in ("cycles", "ms", "commits/s"):
+    def test_host_change_within_threshold_is_silent(self):
+        for unit in ("ms", "commits/s"):
             with self.subTest(unit=unit):
                 self.assertEqual(run_gate(unit, 100, 120), (0, ""))
                 self.assertEqual(run_gate(unit, 100, 80), (0, ""))
+
+    def test_deterministic_change_within_threshold_is_noted(self):
+        # A seeded simulator reproduces every deterministic row exactly, so
+        # even a 1-cycle move is reported (but does not fail the gate).
+        for old, new in ((1547306, 1547307), (100, 120), (100, 80)):
+            with self.subTest(old=old, new=new):
+                code, out = gate_output("cycles", old, new)
+                self.assertEqual(code, 0, out)
+                self.assertIn("note  E0/m:", out)
+                self.assertIn("deterministic row changed", out)
+                self.assertIn("deterministic rows changed: 1", out)
+
+    def test_unchanged_rows_count_zero(self):
+        code, out = gate_output("cycles", 100, 100)
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("E0/m", out)
+        self.assertIn("deterministic rows changed: 0", out)
+        # A host row moving does not count as a deterministic change.
+        code, out = gate_output("ms", 100, 110)
+        self.assertIn("deterministic rows changed: 0", out)
 
     def test_unknown_unit_fails(self):
         line = self.assertVerdict("furlongs", 1, 1, "FAIL", 1)
