@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         .cell(net.local_messages)
         .cell(support::format_bytes(net.bytes))
         .cell(net.channel_busy_cycles)
-        .cell(run.stack.os->metrics().kernel_dispatches)
+        .cell(run.stack.os->stats().kernel_dispatches)
         .cell(100.0 * run.stack.machine->metrics().pe_utilization(elapsed),
               1);
     bench::note("shape_cycles_" + std::to_string(clusters) + "x" +

@@ -17,7 +17,7 @@ void solve_traffic() {
   const auto model =
       bench::cantilever_sheet(bench::smoke() ? 16u : 32u, 8);
   bench::ParallelRun run(model, 8, bench::machine_shape(4, 4));
-  const auto& os_metrics = run.stack.os->metrics();
+  const auto& os_metrics = run.stack.os->stats();
   const auto& net = run.stack.machine->metrics().network;
 
   support::Table table(
@@ -135,7 +135,7 @@ void window_patterns() {
     rt.run();
     FEM2_CHECK(fresh.os->task_finished(task));
 
-    const auto& metrics = fresh.os->metrics();
+    const auto& metrics = fresh.os->stats();
     const auto calls = metrics.messages_sent[static_cast<std::size_t>(
         sysvm::MessageType::RemoteCall)];
     const auto returns_bytes = metrics.message_bytes_sent[

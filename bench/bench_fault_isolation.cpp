@@ -74,7 +74,7 @@ void fem2_failures() {
         .cell(solution.stats.converged ? "yes" : "NO")
         .cell(static_cast<std::uint64_t>(elapsed))
         .cell(static_cast<double>(elapsed) / static_cast<double>(baseline), 2)
-        .cell(stack.os->metrics().steps_redone);
+        .cell(stack.os->stats().steps_redone);
     bench::note("failed_pes_" + std::to_string(&c - cases.data()) + "_cycles",
                 static_cast<double>(elapsed), "cycles");
   }
@@ -132,7 +132,7 @@ void fem2_cluster_loss() {
     const auto solution = fem::solve_static_parallel(
         model, "tip-shear", *stack.runtime, {.workers = 8, .tolerance = 1e-8});
     const auto elapsed = stack.machine->now();
-    const auto& os = stack.os->metrics();
+    const auto& os = stack.os->stats();
     table.row()
         .cell(c.label)
         .cell(c.when)
@@ -175,7 +175,7 @@ void fem2_lossy_network() {
       baseline = elapsed;
       reference = solution.displacements.values;
     }
-    const auto& os = stack.os->metrics();
+    const auto& os = stack.os->stats();
     table.row()
         .cell(p * 100.0, 1)
         .cell(solution.stats.converged ? "yes" : "NO")

@@ -119,7 +119,7 @@ void dot_sweep() {
           .cell(use_collector ? "collector deposits" : "join (terminate)")
           .cell(static_cast<std::uint64_t>(stack.machine->now()))
           .cell(flops_per_kcycle(2 * kN, stack.machine->now()), 1)
-          .cell(stack.os->metrics().total_messages());
+          .cell(stack.os->stats().total_messages());
       bench::note("dot_cycles_" +
                       std::string(use_collector ? "collector" : "join") +
                       "_k" + std::to_string(k),

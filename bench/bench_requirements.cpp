@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     // Phase 2: distributed solve on a fresh machine.
     bench::ParallelRun run(model, 8, config);
     const auto& machine_metrics = run.stack.machine->metrics();
-    const auto& os_metrics = run.stack.os->metrics();
+    const auto& os_metrics = run.stack.os->stats();
 
     // Phase 3: stress recovery, also fanned out on a fresh machine.
     bench::Stack stress_stack(config);
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
 
     const auto total_messages =
         os_metrics.total_messages() +
-        assembly_stack.os->metrics().total_messages() +
-        stress_stack.os->metrics().total_messages();
+        assembly_stack.os->stats().total_messages() +
+        stress_stack.os->stats().total_messages();
     const auto total_bytes =
         machine_metrics.total_bytes() +
         assembly_stack.machine->metrics().total_bytes() +

@@ -73,7 +73,7 @@ void initiation_storm() {
     stack.runtime->run();
     FEM2_CHECK(stack.os->task_finished(task));
     const auto elapsed = stack.machine->now();
-    const auto& metrics = stack.os->metrics();
+    const auto& metrics = stack.os->stats();
     table.row()
         .cell(static_cast<std::uint64_t>(k))
         .cell(static_cast<std::uint64_t>(elapsed))
@@ -103,8 +103,8 @@ void tree_vs_flat() {
     table.row()
         .cell(shape)
         .cell(static_cast<std::uint64_t>(stack.machine->now()))
-        .cell(stack.os->metrics().kernel_dispatches)
-        .cell(stack.os->metrics().ready_queue_peak);
+        .cell(stack.os->stats().kernel_dispatches)
+        .cell(stack.os->stats().ready_queue_peak);
     bench::note(std::string(shape) + "_cycles",
                 static_cast<double>(stack.machine->now()), "cycles");
   }

@@ -57,7 +57,7 @@ int main() {
   std::cout << "FEM-2 machine (" << config.clusters << " clusters x "
             << config.pes_per_cluster << " PEs):\n  "
             << machine.metrics().summary(machine.now()) << "\n";
-  const auto& osm = os.metrics();
+  const auto& osm = os.stats();
   std::cout << "  tasks " << osm.tasks_initiated << ", kernel dispatches "
             << osm.kernel_dispatches << ", steps " << osm.steps_executed
             << "\n  messages by type:\n";

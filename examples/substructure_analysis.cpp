@@ -60,7 +60,7 @@ int main() {
 
   std::cout << "machine: " << machine.metrics().summary(machine.now())
             << "\n";
-  std::cout << "condensations ran as " << os.metrics().tasks_initiated - 1
+  std::cout << "condensations ran as " << os.stats().tasks_initiated - 1
             << " worker tasks; interface solved in the driver task\n";
 
   const double delta = std::abs(parallel.displacements.at(tip, 1) -

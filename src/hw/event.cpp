@@ -27,12 +27,12 @@ void Engine::schedule_at(Cycles time, Action action) {
 
 void Engine::schedule_on(std::uint32_t shard, Cycles time, Action action) {
   FEM2_CHECK_MSG(time >= now(), "cannot schedule an event in the past");
-  FEM2_CHECK(action != nullptr);
+  FEM2_CHECK(static_cast<bool>(action));
   FEM2_CHECK(shard < shard_count());
   const std::uint32_t origin = current_shard();
   shards_[shard].queue.push(
-      Event{EventKey{time, origin, shards_[origin].next_seq++},
-            std::move(action)});
+      Entry{EventKey{time, origin, shards_[origin].next_seq++},
+            actions_.put(std::move(action))});
 }
 
 std::uint64_t Engine::run() { return run_until(~Cycles{0}); }
@@ -92,16 +92,18 @@ void Engine::maybe_quiescent(Cycles settled) {
 
 void Engine::execute(std::uint32_t shard) {
   Shard& sh = shards_[shard];
-  // Move out before pop so the action may schedule more events.
-  Event ev = std::move(const_cast<Event&>(sh.queue.top()));
+  const Entry ev = sh.queue.top();
   sh.queue.pop();
+  // Take the action out and free its slot before running it: the action
+  // may schedule more events (reusing the slot), and it may throw.
+  Action action = actions_.take(ev.slot);
   current_ = Context{shard, ev.key.time};
   executing_ = true;
   struct Restore {
     bool& flag;
     ~Restore() { flag = false; }
   } restore{executing_};
-  ev.action();
+  action();
   ++sh.executed;
   host_now_ = std::max(host_now_, ev.key.time);
 }

@@ -13,16 +13,60 @@
 // Every event carries a totally-ordered key (time, origin shard, origin
 // sequence), and events execute in key order, so runs are bit-reproducible
 // for every seed.
+//
+// Pending actions live in one pool of reused slots; the shard queues order
+// small (key, slot) entries, so scheduling and running an event allocates
+// nothing once the pool and the queues have grown to the run's high water.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hw/config.hpp"
+#include "support/slot_pool.hpp"
+#include "support/small_box.hpp"
 
 namespace fem2::hw {
+
+/// The work of one event: a move-only callable taking no arguments.
+/// Captures of up to kInlineBytes (every action the simulator schedules)
+/// are stored inline; larger ones fall back to the heap.
+class Action {
+ public:
+  static constexpr std::size_t kInlineBytes = 64;
+
+  Action() noexcept = default;
+
+  /// Implicit, like std::function, so lambdas convert at the call site.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, Action> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  Action(F&& f) : invoke_(&invoke<std::decay_t<F>>) {
+    box_.emplace<std::decay_t<F>>(std::forward<F>(f));
+  }
+
+  Action(Action&&) noexcept = default;
+  Action& operator=(Action&&) noexcept = default;
+
+  explicit operator bool() const noexcept { return box_.has_value(); }
+  void operator()() { invoke_(box_); }
+
+ private:
+  using Box = support::SmallBox<kInlineBytes, false>;
+
+  template <typename F>
+  static void invoke(Box& box) {
+    box.unchecked<F>()();
+  }
+
+  Box box_;
+  void (*invoke_)(Box&) = nullptr;
+};
 
 /// Total order on events.  `shard` and `seq` identify the scheduling
 /// context that created the event (its *origin*), not the queue it sits
@@ -42,7 +86,8 @@ struct EventKey {
 
 class Engine {
  public:
-  using Action = std::function<void()>;
+  using Action = hw::Action;
+  /// Hooks run per phase, not per event, and stay std::function.
   using Hook = std::function<void()>;
 
   Engine() = default;
@@ -95,6 +140,8 @@ class Engine {
   bool idle() const;
   std::size_t pending() const;
   std::uint64_t processed() const;
+  /// Size of the action slot pool: the most events ever pending at once.
+  std::size_t action_slots() const { return actions_.capacity(); }
 
   // --- hooks ------------------------------------------------------------
   /// Invoked at every quiescent point: after a phase (or a global event)
@@ -119,18 +166,19 @@ class Engine {
   void add_refresh_hook(Hook hook);
 
  private:
-  struct Event {
+  /// A queued event: its key and the pool slot holding its action.
+  struct Entry {
     EventKey key;
-    Action action;
+    support::SlotPool<Action>::Slot slot = 0;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       return b.key < a.key;
     }
   };
 
   struct Shard {
-    std::priority_queue<Event, std::vector<Event>, Later> queue;
+    std::priority_queue<Entry, std::vector<Entry>, Later> queue;
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
   };
@@ -148,6 +196,7 @@ class Engine {
   void maybe_quiescent(Cycles settled);
 
   std::vector<Shard> shards_{1};  ///< unconfigured: one (global) shard
+  support::SlotPool<Action> actions_;  ///< pending actions, by Entry::slot
   Cycles window_ = 0;
   Cycles host_now_ = 0;    ///< time of the last executed event
   Cycles next_refresh_ = 0;  ///< next window boundary to announce

@@ -60,7 +60,7 @@ PeMetrics& Machine::pe_metrics(PeId pe) {
 const Topology& Machine::topology() const { return *topology_; }
 
 void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
-                          std::any payload) {
+                          std::uint64_t cargo) {
   check_cluster(src);
   check_cluster(dst);
 
@@ -69,10 +69,8 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
   src_metrics.bytes_out += bytes;
   auto& net = metrics_.network;
   net.traffic_matrix[src.index * config_.clusters + dst.index] += 1;
-  auto deliver = [this, packet = Packet{src, dst, bytes,
-                                        std::move(payload)}]() mutable {
-    deliver_packet(std::move(packet));
-  };
+  const Packet packet{src, dst, bytes, cargo};
+  auto deliver = [this, packet] { deliver_packet(packet); };
 
   if (src == dst) {
     // Intra-cluster handoffs go through shared memory and never drop.
@@ -99,7 +97,7 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
   const auto& l = link(src, dst);
   if (l.severed ||
       (l.drop_probability > 0.0 && net_rng_.chance(l.drop_probability))) {
-    drop_packet(src, dst, bytes, now());
+    drop_packet(packet);
     return;
   }
   net.messages += 1;
@@ -122,18 +120,17 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
   engine_.schedule_on(dst.index, deliver_at, std::move(deliver));
 }
 
-void Machine::deliver_packet(Packet packet) {
-  const ClusterId src = packet.source;
+void Machine::deliver_packet(const Packet& packet) {
   const ClusterId dst = packet.destination;
   const std::size_t bytes = packet.bytes;
   auto& cl = clusters_[dst.index];
   if (cl.lost) {
     // Nobody is home: the packet evaporates at the dead cluster's network
     // interface.
-    drop_packet(src, dst, bytes, now());
+    drop_packet(packet);
     return;
   }
-  cl.queue.push_back(std::move(packet));
+  cl.queue.push_back(packet);
   auto& cm = metrics_.clusters[dst.index];
   cm.packets_in += 1;
   cm.bytes_in += bytes;
@@ -211,30 +208,22 @@ void Machine::release_worker(PeId pe) {
   notify_service(pe.cluster);
 }
 
-void Machine::occupy(PeId pe, Cycles duration,
-                     std::function<void()> on_complete) {
-  auto& s = slot(pe);
+std::uint32_t Machine::begin_work(PeId pe, Cycles duration) {
+  const auto& s = slot(pe);
   FEM2_CHECK_MSG(s.state != PeState::Failed, "occupying a failed PE");
-  const std::uint32_t generation = s.generation;
   auto& pm = metrics_.pes[pe_flat_index(pe)];
   pm.busy_cycles += duration;
   pm.work_items += 1;
   record_trace({now(), TraceKind::WorkStarted, pe.cluster, pe.index, 0});
-  // Anchor the completion to the PE's own cluster shard, also when the
-  // work is dispatched from a global event.
-  engine_.schedule_on(
-      pe.cluster.index, now() + duration,
-      [this, pe, generation, on_complete = std::move(on_complete)] {
-        record_trace(
-            {now(), TraceKind::WorkFinished, pe.cluster, pe.index, 0});
-        if (slot(pe).generation != generation) {
-          // The PE failed (or was power-cycled) while this work was in
-          // flight.
-          if (work_lost_) work_lost_(pe.cluster);
-          return;
-        }
-        if (on_complete) on_complete();
-      });
+  return s.generation;
+}
+
+bool Machine::end_work(PeId pe, std::uint32_t generation) {
+  record_trace({now(), TraceKind::WorkFinished, pe.cluster, pe.index, 0});
+  if (slot(pe).generation == generation) return true;
+  // The PE failed (or was power-cycled) while this work was in flight.
+  if (work_lost_) work_lost_(pe.cluster);
+  return false;
 }
 
 bool Machine::pe_alive(PeId pe) const {
@@ -326,7 +315,7 @@ void Machine::handle_cluster_death(ClusterId cluster) {
   failed_clusters_ += 1;
   // Purge everything that lived in the cluster: undecoded input packets and
   // the shared memory's contents die with the hardware.
-  for (const auto& p : cl.queue) drop_packet(p.source, cluster, p.bytes, now());
+  for (const Packet& p : cl.queue) drop_packet(p);
   cl.queue.clear();
   cl.memory_in_use = 0;
   metrics_.clusters[cluster.index].memory_in_use = 0;
@@ -384,11 +373,12 @@ bool Machine::link_severed(ClusterId src, ClusterId dst) const {
   return link(src, dst).severed;
 }
 
-void Machine::drop_packet(ClusterId src, ClusterId dst, std::size_t bytes,
-                          Cycles at) {
+void Machine::drop_packet(const Packet& packet) {
   metrics_.network.dropped_messages += 1;
-  metrics_.network.dropped_bytes += bytes;
-  record_trace({at, TraceKind::MessageDropped, dst, src.index, bytes});
+  metrics_.network.dropped_bytes += packet.bytes;
+  record_trace({now(), TraceKind::MessageDropped, packet.destination,
+                packet.source.index, packet.bytes});
+  if (packet_dropped_) packet_dropped_(packet);
 }
 
 void Machine::allocate(ClusterId cluster, std::size_t bytes) {

@@ -10,7 +10,6 @@
 // by promoting the lowest-index surviving PE when the kernel PE fails.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -26,11 +25,14 @@
 
 namespace fem2::hw {
 
+/// A message on the wire.  The hardware layer only moves and accounts
+/// for it; `cargo` is an opaque handle the sender resolves on delivery
+/// (the OS layer keeps the message itself in its in-flight frame table).
 struct Packet {
   ClusterId source;
   ClusterId destination;
   std::size_t bytes = 0;
-  std::any payload;
+  std::uint64_t cargo = 0;
 };
 
 /// Thrown when a cluster's shared memory is exhausted.
@@ -61,7 +63,7 @@ class Machine {
   /// (intra-cluster shared-memory handoff, or network with per-destination
   /// channel serialization).  The cluster service is notified on arrival.
   void send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
-                   std::any payload);
+                   std::uint64_t cargo);
 
   std::optional<Packet> pop_packet(ClusterId cluster);
   std::size_t queue_depth(ClusterId cluster) const;
@@ -85,6 +87,14 @@ class Machine {
     cluster_lost_ = std::move(handler);
   }
 
+  /// Invoked once for every packet the machine drops: on a lossy or
+  /// severed link, at a dead destination, and when a lost cluster's input
+  /// queue is purged.  The sender frees whatever the cargo refers to.
+  using PacketDropHandler = std::function<void(const Packet&)>;
+  void set_packet_drop_handler(PacketDropHandler handler) {
+    packet_dropped_ = std::move(handler);
+  }
+
   // --- processing elements ---------------------------------------------
   /// The PE currently running the OS kernel in this cluster: the
   /// lowest-index alive PE.  Invalid id if the whole cluster has failed.
@@ -103,7 +113,18 @@ class Machine {
   /// Charge `duration` busy cycles to `pe`, then run `on_complete`.
   /// If the PE fails before completion the completion is dropped and the
   /// work-lost handler fires instead.  Does not acquire/release the PE.
-  void occupy(PeId pe, Cycles duration, std::function<void()> on_complete);
+  /// The completion rides inside the one scheduled event's action.
+  template <typename F>
+  void occupy(PeId pe, Cycles duration, F on_complete) {
+    const std::uint32_t generation = begin_work(pe, duration);
+    // Anchor the completion to the PE's own cluster shard, also when the
+    // work is dispatched from a global event.
+    engine_.schedule_on(pe.cluster.index, now() + duration,
+                        [this, pe, generation,
+                         on_complete = std::move(on_complete)]() mutable {
+                          if (end_work(pe, generation)) on_complete();
+                        });
+  }
 
   bool pe_alive(PeId pe) const;
   bool pe_busy(PeId pe) const;
@@ -176,10 +197,14 @@ class Machine {
   const LinkSlot& link(ClusterId src, ClusterId dst) const;
   /// Fires the cluster-lost handler once alive_pes drops to zero.
   void handle_cluster_death(ClusterId cluster);
-  void drop_packet(ClusterId src, ClusterId dst, std::size_t bytes, Cycles at);
+  void drop_packet(const Packet& packet);
+  /// occupy's halves: charge the PE and return its generation; at the end,
+  /// record the finish and say whether the PE survived to complete.
+  std::uint32_t begin_work(PeId pe, Cycles duration);
+  bool end_work(PeId pe, std::uint32_t generation);
 
   /// The arrival half of a send.
-  void deliver_packet(Packet packet);
+  void deliver_packet(const Packet& packet);
   void record_trace(const TraceEvent& ev) {
     if (tracer_ != nullptr) tracer_->record(ev);
   }
@@ -194,6 +219,7 @@ class Machine {
   ClusterService service_;
   WorkLostHandler work_lost_;
   ClusterLostHandler cluster_lost_;
+  PacketDropHandler packet_dropped_;
   MachineMetrics metrics_;
   Tracer* tracer_ = nullptr;
   std::size_t failed_count_ = 0;

@@ -56,7 +56,7 @@ std::vector<double> TaskContext::ReadAwait::await_resume() {
   if (is_local) return std::move(local);
   ctx.runtime().note_remote_window_wait(
       window, ctx.runtime().os().machine().now() - issued_at);
-  return as_reals(ctx.wake_);
+  return std::move(ctx.wake_).take<std::vector<double>>();
 }
 
 // --- WriteAwait ---------------------------------------------------------------

@@ -7,6 +7,12 @@ namespace {
 constexpr std::size_t kHeaderBytes = 32;
 }  // namespace
 
+void Payload::throw_mismatch(const std::type_info& expected) const {
+  throw support::Error(std::string("payload type mismatch: expected ") +
+                       expected.name() + ", got " +
+                       (empty() ? "<empty>" : value_.type().name()));
+}
+
 MessageType message_type(const Message& m) {
   return static_cast<MessageType>(m.index());
 }

@@ -11,13 +11,14 @@
 //      load code/constants"
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <string>
+#include <typeinfo>
 #include <variant>
 
 #include "hw/config.hpp"
 #include "support/check.hpp"
+#include "support/small_box.hpp"
 
 namespace fem2::sysvm {
 
@@ -29,33 +30,53 @@ inline constexpr TaskId kNoTask = 0;
 /// Token correlating a remote procedure call with its return.
 using CallToken = std::uint64_t;
 
-/// A typed value travelling in a message, with its wire size.  The payload
-/// value itself is host data (std::any); `bytes` is what the simulated
-/// network and memory accounting charge for it.
-struct Payload {
-  std::any value;
+/// A typed value travelling in a message, with its wire size.  The value
+/// itself is host data; `bytes` is what the simulated network and memory
+/// accounting charge for it.  Values of up to kInlineBytes (a real, an
+/// integer, a vector<double>, a Window, the CG parts and data) are held
+/// inline; larger ones fall back to the heap.
+class Payload {
+ public:
+  static constexpr std::size_t kInlineBytes = 48;
+
   std::size_t bytes = 0;
 
   Payload() = default;
-  Payload(std::any v, std::size_t b) : value(std::move(v)), bytes(b) {}
-
-  bool empty() const { return !value.has_value(); }
-
-  template <typename T>
-  const T& as() const {
-    const T* p = std::any_cast<T>(&value);
-    if (p == nullptr) {
-      throw support::Error(
-          std::string("payload type mismatch: expected ") + typeid(T).name() +
-          ", got " + (value.has_value() ? value.type().name() : "<empty>"));
-    }
-    return *p;
-  }
 
   template <typename T>
   static Payload of(T v, std::size_t bytes) {
-    return Payload(std::any(std::move(v)), bytes);
+    Payload p;
+    p.value_.emplace<T>(std::move(v));
+    p.bytes = bytes;
+    return p;
   }
+
+  bool empty() const { return !value_.has_value(); }
+
+  template <typename T>
+  const T& as() const {
+    const T* p = value_.get<T>();
+    if (p == nullptr) throw_mismatch(typeid(T));
+    return *p;
+  }
+
+  /// Move the value out (type-checked like as<T>), leaving this empty.
+  template <typename T>
+  T take() && {
+    T* p = value_.get<T>();
+    if (p == nullptr) throw_mismatch(typeid(T));
+    T out = std::move(*p);
+    value_.reset();
+    bytes = 0;
+    return out;
+  }
+
+ private:
+  /// Throws "payload type mismatch: expected X, got Y" (Y = "<empty>" for
+  /// an empty payload).
+  [[noreturn]] void throw_mismatch(const std::type_info& expected) const;
+
+  support::SmallBox<kInlineBytes, true> value_;
 };
 
 /// "initiate K replications of a task of type T".  One message per

@@ -243,6 +243,10 @@ Os::Os(hw::Machine& machine, OsOptions options)
   machine_.set_work_lost_handler([this](hw::ClusterId c) { on_work_lost(c); });
   machine_.set_cluster_lost_handler(
       [this](hw::ClusterId c) { on_cluster_lost(c); });
+  // A dropped packet's frame is taken out of its slot and dies here.
+  machine_.set_packet_drop_handler([this](const hw::Packet& p) {
+    frames_.take(static_cast<FramePool::Slot>(p.cargo));
+  });
   machine_.engine().add_refresh_hook([this] { refresh_load_board(); });
 }
 
@@ -538,20 +542,24 @@ void Os::send(hw::ClusterId from, hw::ClusterId to, Message message) {
     arm_retransmit(from, to, seq, 0);
     return;
   }
-  machine_.send_packet(from, to, bytes, std::any(std::move(message)));
+  send_frame(from, to, bytes,
+             Frame{Frame::Kind::Plain, from.index, 0, std::move(message)});
+}
+
+void Os::send_frame(hw::ClusterId from, hw::ClusterId to, std::size_t bytes,
+                    Frame frame) {
+  machine_.send_packet(from, to, bytes, frames_.put(std::move(frame)));
 }
 
 void Os::transmit_frame(hw::ClusterId from, hw::ClusterId to,
                         std::uint64_t seq, const Message& message) {
-  Frame frame{Frame::Kind::Data, from.index, seq, message};
-  machine_.send_packet(from, to, message_bytes(message) + kFrameOverheadBytes,
-                       std::any(std::move(frame)));
+  send_frame(from, to, message_bytes(message) + kFrameOverheadBytes,
+             Frame{Frame::Kind::Data, from.index, seq, message});
 }
 
 void Os::send_ack(hw::ClusterId from, hw::ClusterId to, std::uint64_t seq) {
   stats_.acks_sent += 1;
-  Frame frame{Frame::Kind::Ack, from.index, seq, Message{MsgLoadCode{}}};
-  machine_.send_packet(from, to, kAckBytes, std::any(std::move(frame)));
+  send_frame(from, to, kAckBytes, Frame{Frame::Kind::Ack, from.index, seq, {}});
 }
 
 void Os::arm_retransmit(hw::ClusterId from, hw::ClusterId to,
@@ -613,31 +621,33 @@ void Os::dispatch_one(hw::ClusterId cluster) {
 }
 
 void Os::decode(hw::ClusterId cluster, Packet_t&& packet) {
-  if (auto* frame = std::any_cast<Frame>(&packet.payload)) {
-    if (frame->kind == Frame::Kind::Ack) {
+  Frame frame = frames_.take(static_cast<FramePool::Slot>(packet.cargo));
+  switch (frame.kind) {
+    case Frame::Kind::Plain:
+      deliver(cluster, packet.source, std::move(frame.message));
+      return;
+    case Frame::Kind::Ack: {
       // We are the original sender: retire the acknowledged frame.
       const auto cit =
-          send_channels_.find(ChannelKey{cluster.index, frame->src});
-      if (cit != send_channels_.end()) cit->second.acknowledge(frame->seq);
+          send_channels_.find(ChannelKey{cluster.index, frame.src});
+      if (cit != send_channels_.end()) cit->second.acknowledge(frame.seq);
       return;
     }
-
-    const hw::ClusterId src{frame->src};
-    auto& channel = recv_channels_.at(ChannelKey{frame->src, cluster.index});
-    // Ack everything that arrives, including duplicates (the first ack may
-    // have been lost) and out-of-order frames (held, but received).
-    send_ack(cluster, src, frame->seq);
-    auto admission = channel.admit(frame->seq, std::move(frame->message));
-    if (admission.duplicate) {
-      stats_.duplicates_dropped += 1;
-      return;
-    }
-    for (Message& released : admission.delivered)
-      deliver(cluster, src, std::move(released));
+    case Frame::Kind::Data:
+      break;
+  }
+  const hw::ClusterId src{frame.src};
+  auto& channel = recv_channels_.at(ChannelKey{frame.src, cluster.index});
+  // Ack everything that arrives, including duplicates (the first ack may
+  // have been lost) and out-of-order frames (held, but received).
+  send_ack(cluster, src, frame.seq);
+  auto admission = channel.admit(frame.seq, std::move(frame.message));
+  if (admission.duplicate) {
+    stats_.duplicates_dropped += 1;
     return;
   }
-  deliver(cluster, packet.source,
-          std::any_cast<Message>(std::move(packet.payload)));
+  for (Message& released : admission.delivered)
+    deliver(cluster, src, std::move(released));
 }
 
 void Os::deliver(hw::ClusterId cluster, hw::ClusterId from,
@@ -724,20 +734,20 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
     }
     const hw::Cycles duration =
         proc_work->cycles + config.message_sw_overhead;  // format the return
-    const MsgRemoteCall call = proc_work->call;
-    const hw::ClusterId reply_to = proc_work->from;
-    Payload result = proc_work->result;
     running_[pe_key(config, pe)] = std::move(item);
-    machine_.occupy(pe, duration,
-                    [this, pe, call, reply_to, result = std::move(result)] {
-                      running_[pe_key(machine_.config(), pe)].reset();
-                      MsgRemoteReturn ret;
-                      ret.caller = call.caller;
-                      ret.token = call.token;
-                      ret.result = result;
-                      send(pe.cluster, reply_to, Message{std::move(ret)});
-                      machine_.release_worker(pe);
-                    });
+    machine_.occupy(pe, duration, [this, pe] {
+      // The PE survived, so its running_ slot still holds this work item
+      // (work-lost recovery empties only the slots of failed PEs).
+      auto& slot = running_[pe_key(machine_.config(), pe)];
+      ProcWork work = std::get<ProcWork>(std::move(*slot));
+      slot.reset();
+      MsgRemoteReturn ret;
+      ret.caller = work.call.caller;
+      ret.token = work.call.token;
+      ret.result = std::move(work.result);
+      send(pe.cluster, work.from, Message{std::move(ret)});
+      machine_.release_worker(pe);
+    });
     return;
   }
 
@@ -761,8 +771,9 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
     if (observer_ != nullptr) observer_->on_step_begin(task);
     rec.step = rec.program->resume(std::move(wake));
     if (observer_ != nullptr) observer_->on_step_end(task);
-    rec.step_sends = std::move(rec.api->outgoing_);
-    rec.api->outgoing_.clear();
+    // step_sends was emptied when the last step completed; swapping keeps
+    // both buffers' capacity for the next step.
+    rec.step_sends.swap(rec.api->outgoing_);
     rec.step.cycles = std::max<hw::Cycles>(
         1, rec.api->charged_ +
                rec.step_sends.size() * config.message_sw_overhead);

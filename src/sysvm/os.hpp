@@ -32,6 +32,7 @@
 
 #include "hw/channel.hpp"
 #include "hw/machine.hpp"
+#include "support/slot_pool.hpp"
 #include "sysvm/heap.hpp"
 #include "sysvm/message.hpp"
 #include "sysvm/observe.hpp"
@@ -241,9 +242,6 @@ struct OsStats {
   std::string dump() const;
 };
 
-/// Historical name, kept for call sites that predate the fault work.
-using OsMetrics = OsStats;
-
 class Os {
  public:
   explicit Os(hw::Machine& machine, OsOptions options = {});
@@ -292,7 +290,6 @@ class Os {
   std::size_t ready_depth(hw::ClusterId cluster) const;
 
   Heap& heap(hw::ClusterId cluster);
-  const OsStats& metrics() const { return stats_; }
   const OsStats& stats() const { return stats_; }
 
   // --- extension points for higher layers (navm) ---------------------------
@@ -348,6 +345,10 @@ class Os {
     std::size_t unacked = 0;
   };
   std::vector<ChannelBacklog> transport_backlog() const;
+
+  /// Frames on the wire: packets sent but not yet decoded or dropped.
+  /// Zero once a run has drained.
+  std::size_t frames_in_flight() const { return frames_.in_use(); }
 
  private:
   friend class TaskApi;
@@ -434,17 +435,19 @@ class Os {
     std::set<std::pair<std::uint32_t, std::string>> shipped_code;
   };
 
-  // --- reliable transport ----------------------------------------------------
-  /// Wire envelope when reliable_transport is on.  Data frames carry one
-  /// protocol message plus a channel sequence number; ack frames carry the
-  /// acknowledged sequence number and no message.
+  // --- in-flight frames ------------------------------------------------------
+  /// What a packet carries.  Plain frames hold one protocol message sent
+  /// outside the reliable transport.  With reliable_transport on, data
+  /// frames carry one message plus its channel sequence number, and ack
+  /// frames carry the acknowledged sequence number and no message.
   struct Frame {
-    enum class Kind : std::uint8_t { Data, Ack };
-    Kind kind = Kind::Data;
-    std::uint32_t src = 0;  ///< channel source cluster index
+    enum class Kind : std::uint8_t { Plain, Data, Ack };
+    Kind kind = Kind::Plain;
+    std::uint32_t src = 0;  ///< source cluster index
     std::uint64_t seq = 0;
     Message message;
   };
+  using FramePool = support::SlotPool<Frame>;
   static constexpr std::size_t kFrameOverheadBytes = 16;
   static constexpr std::size_t kAckBytes = 24;
 
@@ -478,6 +481,11 @@ class Os {
   hw::ClusterId choose_cluster(hw::ClusterId source);
   hw::ClusterId first_alive_cluster() const;
   void send(hw::ClusterId from, hw::ClusterId to, Message message);
+  /// Park a frame in the in-flight table and put it on the wire; the
+  /// packet's cargo is the frame's slot, freed when decode takes the frame
+  /// or the machine reports the packet dropped.
+  void send_frame(hw::ClusterId from, hw::ClusterId to, std::size_t bytes,
+                  Frame frame);
   void transmit_frame(hw::ClusterId from, hw::ClusterId to, std::uint64_t seq,
                       const Message& message);
   void send_ack(hw::ClusterId from, hw::ClusterId to, std::uint64_t seq);
@@ -547,6 +555,7 @@ class Os {
   std::map<ChannelKey, SendChannel> send_channels_;
   std::map<ChannelKey, RecvChannel> recv_channels_;
   std::map<CallToken, PendingCall> pending_calls_;
+  FramePool frames_;  ///< frames on the wire, by packet cargo
   TaskReaper task_reaper_;
   OsObserver* observer_ = nullptr;
 };

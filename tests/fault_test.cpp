@@ -7,8 +7,11 @@
 //    produce bit-for-bit the displacements of a fault-free run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "fem/mesh.hpp"
 #include "fem/passembly.hpp"
@@ -17,6 +20,7 @@
 #include "navm/parops.hpp"
 #include "navm/runtime.hpp"
 #include "support/check.hpp"
+#include "support/small_box.hpp"
 #include "sysvm/os.hpp"
 
 namespace fem2 {
@@ -101,26 +105,41 @@ TEST(HwFaults, SeveredLinkDropsEverySentPacket) {
   EXPECT_TRUE(machine.link_severed(a, b));
   EXPECT_FALSE(machine.link_severed(b, a));  // directed
 
-  machine.send_packet(a, b, 128, std::any{});
+  std::vector<std::uint64_t> dropped;
+  machine.set_packet_drop_handler(
+      [&](const hw::Packet& p) { dropped.push_back(p.cargo); });
+  machine.send_packet(a, b, 128, 7);
   machine.engine().run();
   EXPECT_EQ(machine.queue_depth(b), 0u);
   EXPECT_EQ(machine.metrics().network.dropped_messages, 1u);
   EXPECT_EQ(machine.metrics().network.dropped_bytes, 128u);
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{7}));
 
   machine.restore_link(a, b);
-  machine.send_packet(a, b, 128, std::any{});
+  machine.send_packet(a, b, 128, 8);
   machine.engine().run();
   EXPECT_EQ(machine.queue_depth(b), 1u);
   EXPECT_EQ(machine.metrics().network.dropped_messages, 1u);
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{7}));
 }
 
 TEST(HwFaults, LossyNetworkDropsSomePacketsDeterministically) {
   auto count_drops = [] {
     hw::Machine machine(machine_config(2, 1));
     machine.set_drop_probability(0.5);
-    for (int i = 0; i < 100; ++i)
-      machine.send_packet(hw::ClusterId{0}, hw::ClusterId{1}, 64, std::any{});
+    std::set<std::uint64_t> dropped;
+    machine.set_packet_drop_handler([&](const hw::Packet& p) {
+      EXPECT_TRUE(dropped.insert(p.cargo).second) << "cargo " << p.cargo;
+    });
+    for (std::uint64_t i = 0; i < 100; ++i)
+      machine.send_packet(hw::ClusterId{0}, hw::ClusterId{1}, 64, i);
     machine.engine().run();
+    // Every packet was either dropped (once) or delivered, never both.
+    std::set<std::uint64_t> seen = dropped;
+    while (const auto p = machine.pop_packet(hw::ClusterId{1}))
+      EXPECT_TRUE(seen.insert(p->cargo).second) << "cargo " << p->cargo;
+    EXPECT_EQ(seen.size(), 100u);
+    EXPECT_EQ(dropped.size(), machine.metrics().network.dropped_messages);
     return machine.metrics().network.dropped_messages;
   };
   const auto a = count_drops();
@@ -133,7 +152,7 @@ TEST(HwFaults, IntraClusterTrafficIsNeverDropped) {
   hw::Machine machine(machine_config(2, 1));
   machine.set_drop_probability(0.99);
   for (int i = 0; i < 50; ++i)
-    machine.send_packet(hw::ClusterId{0}, hw::ClusterId{0}, 64, std::any{});
+    machine.send_packet(hw::ClusterId{0}, hw::ClusterId{0}, 64, 0);
   machine.engine().run();
   EXPECT_EQ(machine.metrics().network.dropped_messages, 0u);
   EXPECT_EQ(machine.queue_depth(hw::ClusterId{0}), 50u);
@@ -264,6 +283,25 @@ TEST(ReliableTransport, OffByDefaultAddsNoProtocolTraffic) {
   EXPECT_EQ(stack.os.stats().duplicates_dropped, 0u);
 }
 
+// Loss drops packets at send time, and a cluster kill purges an input
+// queue and strands packets still flying to the dead cluster.  Every one
+// of those paths hands the packet's frame back through the machine's drop
+// handler, so nothing stays parked in the OS's in-flight table.
+TEST(ReliableTransport, DroppedPacketsFreeTheirFrames) {
+  const auto model = fem::make_cantilever_plate({.nx = 10, .ny = 4}, 90.0);
+  Stack stack(machine_config(4, 4), reliable());
+  stack.machine.set_drop_probability(0.1);
+  hw::FaultPlan plan;
+  plan.fail_cluster(60'000, hw::ClusterId{2});
+  hw::FaultInjector injector(stack.machine, plan);
+  injector.arm();
+  (void)fem::solve_static_parallel(model, "tip-shear", stack.runtime,
+                                   {.workers = 8, .tolerance = 1e-11});
+  EXPECT_GT(stack.machine.metrics().network.dropped_messages, 0u);
+  EXPECT_EQ(stack.os.stats().clusters_lost, 1u);
+  EXPECT_EQ(stack.os.frames_in_flight(), 0u);
+}
+
 TEST(ReliableTransport, PermanentlySeveredLinkRaisesUnreachableError) {
   hw::Machine machine(machine_config(2, 2));
   auto options = reliable();
@@ -387,6 +425,62 @@ TEST(Payload, MismatchOnEmptyPayloadSaysEmpty) {
     EXPECT_NE(std::string(e.what()).find("<empty>"), std::string::npos)
         << e.what();
   }
+}
+
+// Payload keeps the simulation's common values inline and falls back to
+// the heap for larger ones; both kinds must survive copies, moves and a
+// move-out unchanged.
+struct BigPayload {
+  std::array<double, 8> values{};
+  std::string tag;
+  friend bool operator==(const BigPayload&, const BigPayload&) = default;
+};
+
+template <typename T>
+void expect_round_trips(const T& value) {
+  const sysvm::Payload original = sysvm::Payload::of(value, 40);
+  sysvm::Payload copy = original;
+  EXPECT_EQ(copy.as<T>(), value);
+  EXPECT_EQ(original.as<T>(), value);  // the source is untouched
+  EXPECT_EQ(copy.bytes, 40u);
+  sysvm::Payload moved = std::move(copy);
+  EXPECT_EQ(moved.as<T>(), value);
+  EXPECT_EQ(moved.bytes, 40u);
+
+  sysvm::Payload target = sysvm::Payload::of(7, 8);  // replaced below
+  target = original;
+  EXPECT_EQ(target.as<T>(), value);
+  target = sysvm::Payload::of(7, 8);
+  target = std::move(moved);
+  EXPECT_EQ(target.as<T>(), value);
+  EXPECT_EQ(std::move(target).take<T>(), value);
+  EXPECT_TRUE(target.empty());  // take() leaves the payload empty
+}
+
+TEST(Payload, CopyAndMoveRoundTripInlineAndHeapValues) {
+  using Box = support::SmallBox<sysvm::Payload::kInlineBytes, true>;
+  static_assert(Box::fits_inline<double>);
+  static_assert(Box::fits_inline<std::int64_t>);
+  static_assert(Box::fits_inline<std::vector<double>>);
+  static_assert(Box::fits_inline<navm::Window>);
+  static_assert(!Box::fits_inline<BigPayload>);
+  expect_round_trips(std::vector<double>{1.0, 2.5, -3.0});
+  expect_round_trips(BigPayload{{1, 2, 3, 4, 5, 6, 7, 8}, "heap"});
+}
+
+TEST(Payload, TakeOfTheWrongTypeThrowsMismatchAndKeepsTheValue) {
+  auto p = sysvm::Payload::of(42, 8);
+  try {
+    (void)std::move(p).take<double>();
+    FAIL() << "expected support::Error";
+  } catch (const support::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("payload type mismatch"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(typeid(double).name()), std::string::npos) << msg;
+    EXPECT_NE(msg.find(typeid(int).name()), std::string::npos) << msg;
+  }
+  EXPECT_EQ(p.as<int>(), 42);  // a failed take() moves nothing
+  EXPECT_EQ(p.bytes, 8u);
 }
 
 // --- the chaos headline -----------------------------------------------------

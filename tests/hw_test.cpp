@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "analyze/analyzer.hpp"
 #include "fem/mesh.hpp"
@@ -90,6 +94,99 @@ TEST(Engine, EqualTimesRunInOriginShardOrder) {
   EXPECT_EQ(engine.now(), 50u);
 }
 
+// --- Action: the engine's inline-stored callable ----------------------------
+
+TEST(Action, MoveOnlyCaptureRuns) {
+  Engine engine;
+  int seen = 0;
+  auto owned = std::make_unique<int>(7);
+  engine.schedule(1, [&seen, owned = std::move(owned)] { seen = *owned; });
+  engine.run();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(Action, CaptureLargerThanInlineBufferRuns) {
+  Engine engine;
+  std::array<std::uint64_t, 32> big{};
+  big.fill(3);
+  static_assert(sizeof(big) > Action::kInlineBytes);
+  std::uint64_t sum = 0;
+  engine.schedule(1, [&sum, big] {
+    for (const auto v : big) sum += v;
+  });
+  engine.run();
+  EXPECT_EQ(sum, 96u);
+}
+
+/// Counts destructions of live (not moved-from) copies.
+struct DestroyCounter {
+  int* destroyed;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& o) noexcept
+      : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+TEST(Action, PendingActionsDestroyedOnceWithTheEngine) {
+  int destroyed = 0;
+  int ran = 0;
+  {
+    Engine engine;
+    engine.configure(2, 100);
+    for (int i = 0; i < 5; ++i) {
+      engine.schedule_on(static_cast<std::uint32_t>(i % 3), 10 + i,
+                         [&ran, c = DestroyCounter(&destroyed)] { ++ran; });
+    }
+    // A capture too large for the inline buffer takes the heap path.
+    engine.schedule(50, [&ran, c = DestroyCounter(&destroyed),
+                         pad = std::array<char, 256>{}] { ++ran; });
+    engine.run_until(11);  // two of the six run; their captures die
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(destroyed, 2);
+  }
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(destroyed, 6);
+}
+
+TEST(Action, ThrowingActionLeavesEngineUsableAndSlotReused) {
+  Engine engine;
+  engine.schedule(1, [] { throw std::runtime_error("boom"); });
+  EXPECT_EQ(engine.action_slots(), 1u);
+  EXPECT_THROW(engine.run(), std::runtime_error);
+  EXPECT_TRUE(engine.idle());
+  int fired = 0;
+  engine.schedule(1, [&] { ++fired; });
+  EXPECT_EQ(engine.action_slots(), 1u);  // the thrower's slot, reused
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Machine, DropHandlerSeesPurgedAndDeadDestinationPacketsOnce) {
+  MachineConfig config;
+  config.clusters = 2;
+  config.pes_per_cluster = 1;
+  Machine machine(config);
+  std::vector<std::uint64_t> dropped;
+  machine.set_packet_drop_handler(
+      [&](const Packet& p) { dropped.push_back(p.cargo); });
+  machine.send_packet(ClusterId{0}, ClusterId{1}, 64, 1);
+  machine.send_packet(ClusterId{0}, ClusterId{1}, 64, 2);
+  machine.engine().run();
+  ASSERT_EQ(machine.queue_depth(ClusterId{1}), 2u);  // no service drains it
+  machine.send_packet(ClusterId{0}, ClusterId{1}, 64, 3);  // in flight
+  machine.fail_cluster(ClusterId{1});  // purges the queued two
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{1, 2}));
+  machine.engine().run();  // the third reaches a dead cluster
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(machine.metrics().network.dropped_messages, 3u);
+  machine.send_packet(ClusterId{0}, ClusterId{0}, 64, 4);  // delivered
+  machine.engine().run();
+  EXPECT_EQ(dropped.size(), 3u);
+}
+
 MachineConfig small_config() {
   MachineConfig config;
   config.clusters = 2;
@@ -103,7 +200,7 @@ TEST(Machine, PacketDeliveryNotifiesService) {
   std::vector<std::uint32_t> notified;
   machine.set_cluster_service(
       [&](ClusterId c) { notified.push_back(c.index); });
-  machine.send_packet(ClusterId{0}, ClusterId{1}, 100, std::any{42});
+  machine.send_packet(ClusterId{0}, ClusterId{1}, 100, 42);
   EXPECT_EQ(machine.queue_depth(ClusterId{1}), 0u);  // still in flight
   machine.engine().run();
   EXPECT_EQ(machine.queue_depth(ClusterId{1}), 1u);
@@ -111,7 +208,7 @@ TEST(Machine, PacketDeliveryNotifiesService) {
   EXPECT_EQ(notified[0], 1u);
   const auto packet = machine.pop_packet(ClusterId{1});
   ASSERT_TRUE(packet.has_value());
-  EXPECT_EQ(std::any_cast<int>(packet->payload), 42);
+  EXPECT_EQ(packet->cargo, 42u);
   EXPECT_EQ(packet->source, (ClusterId{0}));
   EXPECT_FALSE(machine.pop_packet(ClusterId{1}).has_value());
 }
@@ -411,7 +508,7 @@ TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
     Outcome outcome;
     outcome.elapsed = machine.now();
     outcome.machine_dump = machine.metrics().dump();
-    outcome.os_dump = os.metrics().dump();
+    outcome.os_dump = os.stats().dump();
     outcome.displacements = solution.displacements.values;
     for (const auto& finding : analyzer.findings())
       outcome.findings.push_back(finding.rule + "|" + finding.entity + "|" +

@@ -107,9 +107,9 @@ TEST(Integration, SimulationIsDeterministic) {
       double tip;
     };
     return Snapshot{stack.machine.now(),
-                    stack.os.metrics().total_messages(),
-                    stack.os.metrics().total_message_bytes(),
-                    stack.os.metrics().kernel_dispatches,
+                    stack.os.stats().total_messages(),
+                    stack.os.stats().total_message_bytes(),
+                    stack.os.stats().kernel_dispatches,
                     solution.stats.iterations,
                     solution.displacements.values.back()};
   };

@@ -54,7 +54,7 @@ TEST(NavmSmoke, InitiateAndJoinChildren) {
   s.runtime.run();
   ASSERT_TRUE(s.os.task_finished(id));
   EXPECT_EQ(navm::as_int(s.runtime.result(id)), 0 + 1 + 2 + 3 + 4 + 5 + 6 + 7);
-  EXPECT_EQ(s.os.metrics().tasks_finished, 9u);
+  EXPECT_EQ(s.os.stats().tasks_finished, 9u);
 }
 
 TEST(NavmSmoke, PauseResumeBroadcast) {
@@ -159,7 +159,7 @@ TEST(NavmSmoke, DistributedConjugateGradient) {
 
   // The solve must actually have exercised the machine: messages of several
   // types, multiple clusters.
-  const auto& metrics = s.os.metrics();
+  const auto& metrics = s.os.stats();
   EXPECT_GT(metrics.messages_sent[static_cast<std::size_t>(
                 sysvm::MessageType::RemoteCall)], 0u);
   EXPECT_GT(metrics.messages_sent[static_cast<std::size_t>(

@@ -484,8 +484,8 @@ TEST(ParOps, CgDeterministicUnderIdenticalFaultSchedule) {
     });
     s.runtime.run();
     EXPECT_TRUE(s.os.task_finished(task));
-    return std::tuple{s.machine.now(), s.os.metrics().total_messages(),
-                      s.os.metrics().steps_redone,
+    return std::tuple{s.machine.now(), s.os.stats().total_messages(),
+                      s.os.stats().steps_redone,
                       as_cg_result(s.runtime.result(task)).x};
   };
   const auto a = run_once();

@@ -97,8 +97,8 @@ TEST(Os, LaunchRunsToCompletion) {
   const TaskId id = os.launch("simple", Payload{});
   os.run();
   EXPECT_TRUE(os.task_finished(id));
-  EXPECT_EQ(os.metrics().tasks_initiated, 1u);
-  EXPECT_EQ(os.metrics().tasks_finished, 1u);
+  EXPECT_EQ(os.stats().tasks_initiated, 1u);
+  EXPECT_EQ(os.stats().tasks_finished, 1u);
   EXPECT_GT(os.now(), 0u);
 }
 
@@ -148,8 +148,8 @@ TEST(Os, InitiateReplicationsAndJoin) {
   const TaskId id = os.launch("parent", Payload{});
   os.run();
   EXPECT_TRUE(os.task_finished(id));
-  EXPECT_EQ(os.metrics().tasks_finished, 6u);
-  EXPECT_EQ(os.metrics().messages_sent[static_cast<std::size_t>(
+  EXPECT_EQ(os.stats().tasks_finished, 6u);
+  EXPECT_EQ(os.stats().messages_sent[static_cast<std::size_t>(
                 MessageType::TerminateNotify)],
             5u);
 }
@@ -211,7 +211,7 @@ TEST(Os, CodeLoadingSentOncePerClusterAndType) {
   os.run();
   // load-code: one per (cluster, type) actually used: parent's type on its
   // cluster + worker's type on both clusters = 3.
-  EXPECT_EQ(os.metrics().messages_sent[static_cast<std::size_t>(
+  EXPECT_EQ(os.stats().messages_sent[static_cast<std::size_t>(
                 MessageType::LoadCode)],
             3u);
 }
@@ -244,7 +244,7 @@ TEST(Os, RemoteCallExecutesOnTargetAndReplies) {
   os.run();
   EXPECT_TRUE(os.task_finished(id));
   EXPECT_EQ(executed_on, 1u);
-  EXPECT_EQ(os.metrics().procedures_executed, 1u);
+  EXPECT_EQ(os.stats().procedures_executed, 1u);
 }
 
 TEST(Os, EarlyReplyIsBuffered) {
@@ -329,8 +329,8 @@ TEST(Os, StepRedoneAfterPeFailure) {
       2'000, [&] { machine.fail_pe(hw::PeId{hw::ClusterId{0}, 1}); });
   os.run();
   EXPECT_TRUE(os.task_finished(id));
-  EXPECT_EQ(os.metrics().steps_executed, 1u);
-  EXPECT_EQ(os.metrics().steps_redone, 1u);
+  EXPECT_EQ(os.stats().steps_executed, 1u);
+  EXPECT_EQ(os.stats().steps_redone, 1u);
 }
 
 TEST(Os, KernelDispatchPerMessage) {
@@ -343,7 +343,7 @@ TEST(Os, KernelDispatchPerMessage) {
   os.launch("simple", Payload{});
   os.run();
   // Every delivered message was fielded by a kernel dispatch.
-  EXPECT_EQ(os.metrics().kernel_dispatches, os.metrics().total_messages());
+  EXPECT_EQ(os.stats().kernel_dispatches, os.stats().total_messages());
 }
 
 TEST(Os, TaskInfoAndReadyDepth) {

@@ -264,7 +264,7 @@ TEST(TopologyDeterminism, RepeatRunBitwiseIdenticalForEveryKind) {
       Outcome outcome;
       outcome.elapsed = machine.now();
       outcome.machine_dump = machine.metrics().dump();
-      outcome.os_dump = os.metrics().dump();
+      outcome.os_dump = os.stats().dump();
       outcome.displacements = solution.displacements.values;
       for (const auto& finding : analyzer.findings())
         outcome.findings.push_back(finding.rule + "|" + finding.entity +
