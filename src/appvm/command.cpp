@@ -1,7 +1,6 @@
 #include "appvm/command.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -20,23 +19,13 @@ class CommandError : public support::Error {
 };
 
 double to_double(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw CommandError("expected a number, found '" + token + "'");
-  }
+  if (const auto v = support::parse_double(token)) return *v;
+  throw CommandError("expected a number, found '" + token + "'");
 }
 
 std::size_t to_index(const std::string& token) {
-  std::size_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw CommandError("expected an index, found '" + token + "'");
-  return value;
+  if (const auto v = support::parse_index(token)) return *v;
+  throw CommandError("expected an index, found '" + token + "'");
 }
 
 /// key=value option scanning over a token range.

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <sstream>
+#include <optional>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/strings.hpp"
 
@@ -10,162 +13,225 @@ namespace fem2::appvm {
 
 namespace {
 
-double parse_double(const std::string& token, std::size_t line) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw SerializeError("line " + std::to_string(line) +
-                         ": expected a number, found '" + token + "'");
+/// Appends text and numbers to one string: doubles as to_chars general
+/// format at 17 significant digits ("%.17g"), indices in decimal.
+class Writer {
+ public:
+  Writer& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
   }
-}
-
-std::size_t parse_index(const std::string& token, std::size_t line) {
-  std::size_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    throw SerializeError("line " + std::to_string(line) +
-                         ": expected an index, found '" + token + "'");
+  Writer& operator<<(double v) {
+    char buf[32];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                   std::chars_format::general, 17)
+                         .ptr);
+    return *this;
   }
-  return value;
+  Writer& operator<<(std::size_t v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+
+  /// The text at its exact size: the database keeps every stored value
+  /// in its version chains, so growth slack would be kept too.
+  std::string finish() {
+    out_.shrink_to_fit();
+    return std::move(out_);
+  }
+
+ private:
+  std::string out_;
+};
+
+/// Material properties in record order, by their keys in the text.
+constexpr std::pair<std::string_view, double fem::Material::*>
+    kMaterialFields[] = {{"E", &fem::Material::youngs_modulus},
+                         {"nu", &fem::Material::poisson_ratio},
+                         {"A", &fem::Material::area},
+                         {"I", &fem::Material::moment_of_inertia},
+                         {"t", &fem::Material::thickness},
+                         {"rho", &fem::Material::density}};
+
+/// The records of a text: its lines in getline order, numbered from 1,
+/// skipping blank and '#' lines, each split into whitespace-separated
+/// tokens that view the text.
+class Records {
+ public:
+  explicit Records(std::string_view text) : rest_(text) {}
+
+  /// Moves to the next record; false at the end of the text.
+  bool next() {
+    while (!rest_.empty()) {
+      const std::size_t end = rest_.find('\n');
+      line_ = rest_.substr(0, end);
+      rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+                                                        : end + 1);
+      ++number_;
+      support::split_ws(line_, tokens_);
+      if (!tokens_.empty() && !tokens_[0].starts_with('#')) return true;
+    }
+    return false;
+  }
+
+  std::size_t size() const { return tokens_.size(); }
+  std::string_view operator[](std::size_t i) const { return tokens_[i]; }
+
+  /// The line after the first token, trimmed.
+  std::string_view rest_of_line() const {
+    return support::trim(line_.substr(
+        static_cast<std::size_t>(tokens_[0].data() - line_.data()) +
+        tokens_[0].size()));
+  }
+
+  [[noreturn]] void fail(std::string_view what) const {
+    throw SerializeError("line " + std::to_string(number_) + ": " +
+                         std::string(what));
+  }
+
+  double number(std::string_view token) const {
+    if (const auto v = support::parse_double(token)) return *v;
+    fail("expected a number, found '" + std::string(token) + "'");
+  }
+  double number(std::size_t i) const { return number(tokens_[i]); }
+
+  std::size_t index(std::string_view token) const {
+    if (const auto v = support::parse_index(token)) return *v;
+    fail("expected an index, found '" + std::string(token) + "'");
+  }
+  std::size_t index(std::size_t i) const { return index(tokens_[i]); }
+
+ private:
+  std::string_view rest_;
+  std::string_view line_;
+  std::size_t number_ = 0;
+  std::vector<std::string_view> tokens_;
+};
+
+/// A `key=value` token's key and non-empty value; nothing otherwise.
+std::optional<std::pair<std::string_view, std::string_view>> key_value(
+    std::string_view token) {
+  const std::size_t eq = token.find('=');
+  if (eq == std::string_view::npos || eq + 1 == token.size())
+    return std::nullopt;
+  return std::pair{token.substr(0, eq), token.substr(eq + 1)};
 }
 
-/// Extract the value of a key=value token; returns false if key mismatch.
-bool keyed(const std::string& token, std::string_view key,
-           std::string& value_out) {
-  if (token.size() <= key.size() + 1) return false;
-  if (!token.starts_with(key) || token[key.size()] != '=') return false;
-  value_out = token.substr(key.size() + 1);
-  return true;
-}
-
-fem::ElementType element_type_from_name(const std::string& name,
-                                        std::size_t line) {
+fem::ElementType element_type_from_name(const Records& r) {
+  const std::string_view name = r[1];
   if (name == "bar2") return fem::ElementType::Bar2;
   if (name == "beam2") return fem::ElementType::Beam2;
   if (name == "tri3") return fem::ElementType::Tri3;
   if (name == "quad4") return fem::ElementType::Quad4;
-  throw SerializeError("line " + std::to_string(line) +
-                       ": unknown element type '" + name + "'");
+  r.fail("unknown element type '" + std::string(name) + "'");
+}
+
+void parse_material(const Records& r, fem::StructureModel& model) {
+  fem::Material m;
+  m.name = r[1];
+  for (std::size_t i = 2; i < r.size(); ++i) {
+    const auto kv = key_value(r[i]);
+    const auto field =
+        std::find_if(std::begin(kMaterialFields), std::end(kMaterialFields),
+                     [&](const auto& f) { return kv && f.first == kv->first; });
+    if (field == std::end(kMaterialFields))
+      r.fail("unknown material property '" + std::string(r[i]) + "'");
+    m.*(field->second) = r.number(kv->second);
+  }
+  model.add_material(std::move(m));
+}
+
+void parse_element(const Records& r, fem::StructureModel& model) {
+  fem::Element e;
+  e.type = element_type_from_name(r);
+  const std::size_t expected = fem::element_node_count(e.type);
+  std::size_t count = 0;
+  for (std::size_t i = 2; i < r.size(); ++i) {
+    const auto kv = key_value(r[i]);
+    if (kv && kv->first == "mat") {
+      e.material = r.index(kv->second);
+    } else {
+      const std::size_t node = r.index(i);
+      if (count < e.nodes.size()) e.nodes[count] = node;
+      ++count;
+    }
+  }
+  if (count != expected)
+    r.fail(std::string(fem::element_type_name(e.type)) + " takes " +
+           std::to_string(expected) + " nodes");
+  model.elements.push_back(e);
+}
+
+fem::ElementStress parse_stress(const Records& r) {
+  if (r.size() != 6) r.fail("stress takes element sxx syy txy vm");
+  fem::ElementStress s;
+  s.element = r.index(1);
+  s.sigma_xx = r.number(2);
+  s.sigma_yy = r.number(3);
+  s.tau_xy = r.number(4);
+  s.von_mises = r.number(5);
+  return s;
 }
 
 }  // namespace
 
 std::string serialize_model(const fem::StructureModel& model) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "model " << model.name << "\n";
-  for (const auto& n : model.nodes) os << "node " << n.x << " " << n.y << "\n";
+  Writer w;
+  w << "model " << model.name << "\n";
+  for (const auto& n : model.nodes) w << "node " << n.x << " " << n.y << "\n";
   for (const auto& m : model.materials) {
-    os << "material " << m.name << " E=" << m.youngs_modulus
-       << " nu=" << m.poisson_ratio << " A=" << m.area
-       << " I=" << m.moment_of_inertia << " t=" << m.thickness
-       << " rho=" << m.density << "\n";
+    w << "material " << m.name;
+    for (const auto& [key, field] : kMaterialFields)
+      w << " " << key << "=" << m.*field;
+    w << "\n";
   }
   for (const auto& e : model.elements) {
-    os << "element " << fem::element_type_name(e.type);
-    for (std::size_t i = 0; i < e.node_count(); ++i) os << " " << e.nodes[i];
-    os << " mat=" << e.material << "\n";
+    w << "element " << fem::element_type_name(e.type);
+    for (std::size_t i = 0; i < e.node_count(); ++i) w << " " << e.nodes[i];
+    w << " mat=" << e.material << "\n";
   }
   for (const auto& c : model.constraints)
-    os << "constraint " << c.node << " " << c.dof << " " << c.value << "\n";
+    w << "constraint " << c.node << " " << c.dof << " " << c.value << "\n";
   for (const auto& [set_name, set] : model.load_sets)
     for (const auto& load : set.loads)
-      os << "load " << set_name << " " << load.node << " " << load.dof << " "
-         << load.value << "\n";
-  return os.str();
+      w << "load " << set_name << " " << load.node << " " << load.dof << " "
+        << load.value << "\n";
+  return w.finish();
 }
 
 fem::StructureModel parse_model(const std::string& text) {
   fem::StructureModel model;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
   bool saw_model = false;
 
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto tokens = support::split_ws(line);
-    if (tokens.empty() || tokens[0].starts_with('#')) continue;
-    const std::string& kind = tokens[0];
-
+  for (Records r(text); r.next();) {
+    const std::string_view kind = r[0];
     if (kind == "model") {
-      if (tokens.size() != 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": model takes a single name");
-      model.name = tokens[1];
+      if (r.size() != 2) r.fail("model takes a single name");
+      model.name = r[1];
       saw_model = true;
     } else if (kind == "node") {
-      if (tokens.size() != 3)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": node takes x y");
-      model.add_node(parse_double(tokens[1], line_no),
-                     parse_double(tokens[2], line_no));
+      if (r.size() != 3) r.fail("node takes x y");
+      const double x = r.number(1);
+      model.add_node(x, r.number(2));
     } else if (kind == "material") {
-      if (tokens.size() < 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": material needs a name");
-      fem::Material m;
-      m.name = tokens[1];
-      std::string value;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        if (keyed(tokens[i], "E", value)) m.youngs_modulus = parse_double(value, line_no);
-        else if (keyed(tokens[i], "nu", value)) m.poisson_ratio = parse_double(value, line_no);
-        else if (keyed(tokens[i], "A", value)) m.area = parse_double(value, line_no);
-        else if (keyed(tokens[i], "I", value)) m.moment_of_inertia = parse_double(value, line_no);
-        else if (keyed(tokens[i], "t", value)) m.thickness = parse_double(value, line_no);
-        else if (keyed(tokens[i], "rho", value)) m.density = parse_double(value, line_no);
-        else
-          throw SerializeError("line " + std::to_string(line_no) +
-                               ": unknown material property '" + tokens[i] +
-                               "'");
-      }
-      model.add_material(std::move(m));
+      if (r.size() < 2) r.fail("material needs a name");
+      parse_material(r, model);
     } else if (kind == "element") {
-      if (tokens.size() < 4)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": element needs a type and nodes");
-      const fem::ElementType type = element_type_from_name(tokens[1], line_no);
-      const std::size_t expected = fem::element_node_count(type);
-      std::size_t material = 0;
-      std::vector<std::size_t> nodes;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        std::string value;
-        if (keyed(tokens[i], "mat", value)) {
-          material = parse_index(value, line_no);
-        } else {
-          nodes.push_back(parse_index(tokens[i], line_no));
-        }
-      }
-      if (nodes.size() != expected)
-        throw SerializeError("line " + std::to_string(line_no) + ": " +
-                             std::string(fem::element_type_name(type)) +
-                             " takes " + std::to_string(expected) + " nodes");
-      fem::Element e;
-      e.type = type;
-      e.material = material;
-      for (std::size_t i = 0; i < nodes.size(); ++i) e.nodes[i] = nodes[i];
-      model.elements.push_back(e);
+      if (r.size() < 4) r.fail("element needs a type and nodes");
+      parse_element(r, model);
     } else if (kind == "constraint") {
-      if (tokens.size() != 4)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": constraint takes node dof value");
-      model.add_constraint(parse_index(tokens[1], line_no),
-                           parse_index(tokens[2], line_no),
-                           parse_double(tokens[3], line_no));
+      if (r.size() != 4) r.fail("constraint takes node dof value");
+      const std::size_t node = r.index(1);
+      const std::size_t dof = r.index(2);
+      model.add_constraint(node, dof, r.number(3));
     } else if (kind == "load") {
-      if (tokens.size() != 5)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": load takes set node dof value");
-      model.add_load(tokens[1], parse_index(tokens[2], line_no),
-                     parse_index(tokens[3], line_no),
-                     parse_double(tokens[4], line_no));
+      if (r.size() != 5) r.fail("load takes set node dof value");
+      const std::size_t node = r.index(2);
+      const std::size_t dof = r.index(3);
+      model.add_load(std::string(r[1]), node, dof, r.number(4));
     } else {
-      throw SerializeError("line " + std::to_string(line_no) +
-                           ": unknown record '" + kind + "'");
+      r.fail("unknown record '" + std::string(kind) + "'");
     }
   }
   if (!saw_model)
@@ -211,110 +277,71 @@ fem::StructureModel parse_model(const std::string& text) {
 }
 
 std::string serialize_results(const fem::AnalysisResult& results) {
-  std::ostringstream os;
-  os.precision(17);
-  const auto stress_record = [&os](const char* tag,
-                                   const fem::ElementStress& s) {
-    os << tag << " " << s.element << " " << s.sigma_xx << " " << s.sigma_yy
-       << " " << s.tau_xy << " " << s.von_mises << "\n";
+  Writer w;
+  const auto stress_record = [&w](std::string_view tag,
+                                  const fem::ElementStress& s) {
+    w << tag << " " << s.element << " " << s.sigma_xx << " " << s.sigma_yy
+      << " " << s.tau_xy << " " << s.von_mises << "\n";
   };
   const auto& stats = results.solution.stats;
-  os << "results\n";
-  os << "method " << stats.method << "\n";
-  os << "converged " << (stats.converged ? 1 : 0) << "\n";
-  os << "iterations " << stats.iterations << "\n";
-  os << "residual " << stats.residual << "\n";
-  os << "matrix-bytes " << stats.matrix_storage_bytes << "\n";
+  w << "results\n";
+  w << "method " << stats.method << "\n";
+  w << "converged " << (stats.converged ? "1" : "0") << "\n";
+  w << "iterations " << stats.iterations << "\n";
+  w << "residual " << stats.residual << "\n";
+  w << "matrix-bytes " << stats.matrix_storage_bytes << "\n";
   const auto& u = results.solution.displacements;
-  os << "displacements " << u.dofs_per_node;
-  for (const double v : u.values) os << " " << v;
-  os << "\n";
+  w << "displacements " << u.dofs_per_node;
+  for (const double v : u.values) w << " " << v;
+  w << "\n";
   for (const auto& s : results.stresses) stress_record("stress", s);
   stress_record("peak", results.peak);
-  return os.str();
+  return w.finish();
 }
 
 fem::AnalysisResult parse_results(const std::string& text) {
   fem::AnalysisResult results;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
+  auto& stats = results.solution.stats;
   bool saw_header = false;
   bool saw_peak = false;
 
-  const auto parse_stress = [](const std::vector<std::string>& tokens,
-                               std::size_t line_number) {
-    if (tokens.size() != 6)
-      throw SerializeError("line " + std::to_string(line_number) +
-                           ": stress takes element sxx syy txy vm");
-    fem::ElementStress s;
-    s.element = parse_index(tokens[1], line_number);
-    s.sigma_xx = parse_double(tokens[2], line_number);
-    s.sigma_yy = parse_double(tokens[3], line_number);
-    s.tau_xy = parse_double(tokens[4], line_number);
-    s.von_mises = parse_double(tokens[5], line_number);
-    return s;
-  };
-
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto tokens = support::split_ws(line);
-    if (tokens.empty() || tokens[0].starts_with('#')) continue;
-    const std::string& kind = tokens[0];
-
+  for (Records r(text); r.next();) {
+    const std::string_view kind = r[0];
     if (kind == "results") {
       saw_header = true;
     } else if (kind == "method") {
       // Method names may contain spaces — take the rest of the line.
-      const auto pos = line.find("method ");
-      results.solution.stats.method =
-          std::string(support::trim(line.substr(pos + 7)));
+      stats.method = r.rest_of_line();
     } else if (kind == "converged") {
-      if (tokens.size() != 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": converged takes 0 or 1");
-      results.solution.stats.converged = parse_index(tokens[1], line_no) != 0;
+      if (r.size() != 2) r.fail("converged takes 0 or 1");
+      stats.converged = r.index(1) != 0;
     } else if (kind == "iterations") {
-      if (tokens.size() != 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": iterations takes a count");
-      results.solution.stats.iterations = parse_index(tokens[1], line_no);
+      if (r.size() != 2) r.fail("iterations takes a count");
+      stats.iterations = r.index(1);
     } else if (kind == "residual") {
-      if (tokens.size() != 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": residual takes a value");
-      results.solution.stats.residual = parse_double(tokens[1], line_no);
+      if (r.size() != 2) r.fail("residual takes a value");
+      stats.residual = r.number(1);
     } else if (kind == "matrix-bytes") {
-      if (tokens.size() != 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": matrix-bytes takes a count");
-      results.solution.stats.matrix_storage_bytes =
-          parse_index(tokens[1], line_no);
+      if (r.size() != 2) r.fail("matrix-bytes takes a count");
+      stats.matrix_storage_bytes = r.index(1);
     } else if (kind == "displacements") {
-      if (tokens.size() < 2)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": displacements needs dofs_per_node");
+      if (r.size() < 2) r.fail("displacements needs dofs_per_node");
       auto& u = results.solution.displacements;
-      u.dofs_per_node = parse_index(tokens[1], line_no);
-      if (u.dofs_per_node == 0)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": dofs_per_node must be positive");
+      u.dofs_per_node = r.index(1);
+      if (u.dofs_per_node == 0) r.fail("dofs_per_node must be positive");
       u.values.clear();
-      u.values.reserve(tokens.size() - 2);
-      for (std::size_t i = 2; i < tokens.size(); ++i)
-        u.values.push_back(parse_double(tokens[i], line_no));
+      u.values.reserve(r.size() - 2);
+      for (std::size_t i = 2; i < r.size(); ++i)
+        u.values.push_back(r.number(i));
       if (u.values.size() % u.dofs_per_node != 0)
-        throw SerializeError("line " + std::to_string(line_no) +
-                             ": displacement count is not a multiple of "
-                             "dofs_per_node");
+        r.fail("displacement count is not a multiple of dofs_per_node");
     } else if (kind == "stress") {
-      results.stresses.push_back(parse_stress(tokens, line_no));
+      results.stresses.push_back(parse_stress(r));
     } else if (kind == "peak") {
-      results.peak = parse_stress(tokens, line_no);
+      results.peak = parse_stress(r);
       saw_peak = true;
     } else {
-      throw SerializeError("line " + std::to_string(line_no) +
-                           ": unknown record '" + kind + "'");
+      r.fail("unknown record '" + std::string(kind) + "'");
     }
   }
   if (!saw_header)

@@ -4,6 +4,7 @@
 
 #include "db/bytes.hpp"
 #include "db/crc32.hpp"
+#include "support/check.hpp"
 
 namespace fem2::db {
 
@@ -13,27 +14,36 @@ constexpr char kMagic[8] = {'F', '2', 'D', 'B', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kFormatVersion = 1;
 
 std::string encode(const SnapshotData& data) {
-  std::string payload;
-  append_u64(payload, data.next_txn);
-  append_u64(payload, data.chains.size());
+  // Header, payload and CRC trailer go into one buffer sized up front: a
+  // snapshot holds every stored value, so each extra copy of it would
+  // raise the checkpoint's peak memory by the size of the whole store.
+  std::uint64_t payload_size = 8 + 8;
   for (const auto& chain : data.chains) {
-    append_string(payload, chain.name);
-    append_u64(payload, chain.versions.size());
-    for (const auto& v : chain.versions) {
-      append_u64(payload, v.revision);
-      append_u8(payload, v.deleted ? 1 : 0);
-      append_u64(payload, v.txn);
-      append_string(payload, v.kind);
-      append_string(payload, v.value);
-    }
+    payload_size += 4 + chain.name.size() + 8;
+    for (const auto& v : chain.versions)
+      payload_size += 8 + 1 + 8 + 4 + v.kind.size() + 4 + v.value.size();
   }
-
   std::string out;
+  out.reserve(sizeof kMagic + 4 + 8 + payload_size + 4);
   out.append(kMagic, sizeof kMagic);
   append_u32(out, kFormatVersion);
-  append_u64(out, payload.size());
-  out += payload;
-  append_u32(out, crc32c(payload));
+  append_u64(out, payload_size);
+  const std::size_t payload_begin = out.size();
+  append_u64(out, data.next_txn);
+  append_u64(out, data.chains.size());
+  for (const auto& chain : data.chains) {
+    append_string(out, chain.name);
+    append_u64(out, chain.versions.size());
+    for (const auto& v : chain.versions) {
+      append_u64(out, v.revision);
+      append_u8(out, v.deleted ? 1 : 0);
+      append_u64(out, v.txn);
+      append_string(out, v.kind);
+      append_string(out, v.value);
+    }
+  }
+  FEM2_CHECK(out.size() - payload_begin == payload_size);
+  append_u32(out, crc32c(std::string_view(out).substr(payload_begin)));
   return out;
 }
 

@@ -1,11 +1,53 @@
 #include "fem/element.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
+
+#include "la/vec_ops.hpp"
 
 namespace fem2::fem {
 
 namespace {
+
+// The kernels compute on fixed-size local matrices.  Each product and sum
+// runs in the order DenseMatrix formed it, so every element matrix and
+// stress is bit-identical to the DenseMatrix formulation.
+template <std::size_t R, std::size_t C>
+using Mat = std::array<std::array<double, C>, R>;
+
+template <std::size_t R, std::size_t C>
+Mat<C, R> transpose(const Mat<R, C>& a) {
+  Mat<C, R> t;
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t c = 0; c < C; ++c) t[c][r] = a[r][c];
+  return t;
+}
+
+/// a b as DenseMatrix::multiply sums it: each entry from +0.0 over k
+/// ascending, skipping a(r, k) == 0.
+template <std::size_t R, std::size_t K, std::size_t C>
+Mat<R, C> multiply(const Mat<R, K>& a, const Mat<K, C>& b) {
+  Mat<R, C> out{};
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t k = 0; k < K; ++k) {
+      const double x = a[r][k];
+      if (x == 0.0) continue;
+      for (std::size_t c = 0; c < C; ++c) out[r][c] += x * b[k][c];
+    }
+  }
+  return out;
+}
+
+/// out += alpha a, as DenseMatrix::add_scaled.
+template <std::size_t N>
+void add_scaled(la::DenseMatrix& out, const Mat<N, N>& a, double alpha) {
+  for (std::size_t r = 0; r < N; ++r) {
+    const auto row = out.row(r);
+    for (std::size_t c = 0; c < N; ++c) row[c] += alpha * a[r][c];
+  }
+}
 
 struct Frame {
   double length;
@@ -53,33 +95,49 @@ la::DenseMatrix beam2_stiffness(const StructureModel& model,
   const double b4 = 4.0 * ei / L;
   const double b2 = 2.0 * ei / L;
 
-  la::DenseMatrix local(6, 6);
-  const double entries[6][6] = {
+  const Mat<6, 6> local = {{
       {ea, 0, 0, -ea, 0, 0},
       {0, b12, b6, 0, -b12, b6},
       {0, b6, b4, 0, -b6, b2},
       {-ea, 0, 0, ea, 0, 0},
       {0, -b12, -b6, 0, b12, -b6},
       {0, b6, b2, 0, -b6, b4},
-  };
-  for (std::size_t r = 0; r < 6; ++r)
-    for (std::size_t c = 0; c < 6; ++c) local(r, c) = entries[r][c];
+  }};
 
   // T rotates global into local; per-node blocks [c s 0; -s c 0; 0 0 1].
-  la::DenseMatrix t(6, 6);
+  Mat<6, 6> t{};
   for (const std::size_t base : {std::size_t{0}, std::size_t{3}}) {
-    t(base + 0, base + 0) = f.c;
-    t(base + 0, base + 1) = f.s;
-    t(base + 1, base + 0) = -f.s;
-    t(base + 1, base + 1) = f.c;
-    t(base + 2, base + 2) = 1.0;
+    t[base + 0][base + 0] = f.c;
+    t[base + 0][base + 1] = f.s;
+    t[base + 1][base + 0] = -f.s;
+    t[base + 1][base + 1] = f.c;
+    t[base + 2][base + 2] = 1.0;
   }
-  return t.transpose().multiply(local).multiply(t);
+  la::DenseMatrix out(6, 6);
+  const Mat<6, 6> k = multiply(multiply(transpose(t), local), t);
+  for (std::size_t r = 0; r < 6; ++r)
+    std::copy(k[r].begin(), k[r].end(), out.row(r).begin());
+  return out;
 }
 
-/// CST strain-displacement matrix B (3×6) and area.
-std::pair<la::DenseMatrix, double> tri3_b(const StructureModel& model,
-                                          const Element& e) {
+/// Plane-stress constitutive matrix D.
+Mat<3, 3> plane_stress_d(const Material& m) {
+  const double e = m.youngs_modulus;
+  const double nu = m.poisson_ratio;
+  FEM2_CHECK_MSG(nu > -1.0 && nu < 0.5, "invalid Poisson ratio");
+  const double f = e / (1.0 - nu * nu);
+  Mat<3, 3> d{};
+  d[0][0] = f;
+  d[0][1] = f * nu;
+  d[1][0] = f * nu;
+  d[1][1] = f;
+  d[2][2] = f * (1.0 - nu) / 2.0;
+  return d;
+}
+
+/// CST strain-displacement matrix B and area.
+std::pair<Mat<3, 6>, double> tri3_b(const StructureModel& model,
+                                    const Element& e) {
   const Node& n0 = model.nodes[e.nodes[0]];
   const Node& n1 = model.nodes[e.nodes[1]];
   const Node& n2 = model.nodes[e.nodes[2]];
@@ -90,14 +148,14 @@ std::pair<la::DenseMatrix, double> tri3_b(const StructureModel& model,
   const double c0 = n2.x - n1.x, c1 = n0.x - n2.x, c2 = n1.x - n0.x;
   const double inv2a = 1.0 / (2.0 * area);
 
-  la::DenseMatrix b(3, 6);
+  Mat<3, 6> b{};
   const double bs[3] = {b0, b1, b2};
   const double cs[3] = {c0, c1, c2};
   for (std::size_t i = 0; i < 3; ++i) {
-    b(0, 2 * i) = bs[i] * inv2a;
-    b(1, 2 * i + 1) = cs[i] * inv2a;
-    b(2, 2 * i) = cs[i] * inv2a;
-    b(2, 2 * i + 1) = bs[i] * inv2a;
+    b[0][2 * i] = bs[i] * inv2a;
+    b[1][2 * i + 1] = cs[i] * inv2a;
+    b[2][2 * i] = cs[i] * inv2a;
+    b[2][2 * i + 1] = bs[i] * inv2a;
   }
   return {b, area};
 }
@@ -105,19 +163,18 @@ std::pair<la::DenseMatrix, double> tri3_b(const StructureModel& model,
 la::DenseMatrix tri3_stiffness(const StructureModel& model,
                                const Element& e) {
   const auto& m = model.materials[e.material];
-  auto [b, area] = tri3_b(model, e);
-  const la::DenseMatrix d = plane_stress_d(m);
-  la::DenseMatrix k = b.transpose().multiply(d).multiply(b);
-  const double scale = m.thickness * std::abs(area);
+  const auto [b, area] = tri3_b(model, e);
+  const Mat<3, 3> d = plane_stress_d(m);
   la::DenseMatrix out(6, 6);
-  out.add_scaled(k, scale);
+  add_scaled(out, multiply(multiply(transpose(b), d), b),
+             m.thickness * std::abs(area));
   return out;
 }
 
-/// Quad4 B matrix (3×8) at natural coordinates (xi, eta) plus det(J).
-std::pair<la::DenseMatrix, double> quad4_b(const StructureModel& model,
-                                           const Element& e, double xi,
-                                           double eta) {
+/// Quad4 B matrix at natural coordinates (xi, eta) plus det(J).
+std::pair<Mat<3, 8>, double> quad4_b(const StructureModel& model,
+                                     const Element& e, double xi,
+                                     double eta) {
   // Shape function derivatives wrt natural coordinates.
   const double dn_dxi[4] = {-(1 - eta) / 4, (1 - eta) / 4, (1 + eta) / 4,
                             -(1 + eta) / 4};
@@ -137,14 +194,14 @@ std::pair<la::DenseMatrix, double> quad4_b(const StructureModel& model,
   const double i00 = j11 / det, i01 = -j01 / det;
   const double i10 = -j10 / det, i11 = j00 / det;
 
-  la::DenseMatrix b(3, 8);
+  Mat<3, 8> b{};
   for (std::size_t i = 0; i < 4; ++i) {
     const double dndx = i00 * dn_dxi[i] + i01 * dn_deta[i];
     const double dndy = i10 * dn_dxi[i] + i11 * dn_deta[i];
-    b(0, 2 * i) = dndx;
-    b(1, 2 * i + 1) = dndy;
-    b(2, 2 * i) = dndy;
-    b(2, 2 * i + 1) = dndx;
+    b[0][2 * i] = dndx;
+    b[1][2 * i + 1] = dndy;
+    b[2][2 * i] = dndy;
+    b[2][2 * i + 1] = dndx;
   }
   return {b, det};
 }
@@ -152,52 +209,42 @@ std::pair<la::DenseMatrix, double> quad4_b(const StructureModel& model,
 la::DenseMatrix quad4_stiffness(const StructureModel& model,
                                 const Element& e) {
   const auto& m = model.materials[e.material];
-  const la::DenseMatrix d = plane_stress_d(m);
+  const Mat<3, 3> d = plane_stress_d(m);
   la::DenseMatrix k(8, 8);
   const double g = 1.0 / std::sqrt(3.0);
   for (const double xi : {-g, g}) {
     for (const double eta : {-g, g}) {
-      auto [b, det] = quad4_b(model, e, xi, eta);
-      const la::DenseMatrix kb = b.transpose().multiply(d).multiply(b);
-      k.add_scaled(kb, m.thickness * det);  // unit Gauss weights
+      const auto [b, det] = quad4_b(model, e, xi, eta);
+      // Unit Gauss weights.
+      add_scaled(k, multiply(multiply(transpose(b), d), b),
+                 m.thickness * det);
     }
   }
   return k;
 }
 
-/// Element displacement vector in the element's own dof layout, extracted
-/// from the model-wide displacement vector.
-std::vector<double> element_displacements(const StructureModel& model
-                                          [[maybe_unused]],
-                                          const Element& e,
-                                          const Displacements& u) {
-  const std::size_t edof = element_dofs_per_node(e.type);
-  std::vector<double> out;
-  out.reserve(e.node_count() * edof);
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    for (std::size_t d = 0; d < edof; ++d)
-      out.push_back(u.at(e.nodes[i], d));
-  return out;
+/// Plane stress D B u_e of a plane element, each product row by row in
+/// la::dot's lane order (as DenseMatrix::multiply(span) formed it).  u_e
+/// is the element's displacement vector, two dofs per node.
+template <std::size_t N>
+std::array<double, 3> plane_stress(const Material& m, const Mat<3, N>& b,
+                                   const Element& e, const Displacements& u) {
+  const Mat<3, 3> d = plane_stress_d(m);
+  std::array<double, N> ue;
+  for (std::size_t i = 0; i < N / 2; ++i)
+    for (std::size_t dof = 0; dof < 2; ++dof)
+      ue[2 * i + dof] = u.at(e.nodes[i], dof);
+  std::array<double, 3> strain;
+  for (std::size_t r = 0; r < 3; ++r) strain[r] = la::dot(b[r], ue);
+  std::array<double, 3> sigma;
+  for (std::size_t r = 0; r < 3; ++r) sigma[r] = la::dot(d[r], strain);
+  return sigma;
 }
 
 }  // namespace
 
 double triangle_area(const Node& a, const Node& b, const Node& c) {
   return 0.5 * ((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y));
-}
-
-la::DenseMatrix plane_stress_d(const Material& m) {
-  const double e = m.youngs_modulus;
-  const double nu = m.poisson_ratio;
-  FEM2_CHECK_MSG(nu > -1.0 && nu < 0.5, "invalid Poisson ratio");
-  const double f = e / (1.0 - nu * nu);
-  la::DenseMatrix d(3, 3);
-  d(0, 0) = f;
-  d(0, 1) = f * nu;
-  d(1, 0) = f * nu;
-  d(1, 1) = f;
-  d(2, 2) = f * (1.0 - nu) / 2.0;
-  return d;
 }
 
 la::DenseMatrix element_stiffness(const StructureModel& model,
@@ -237,26 +284,13 @@ ElementStress element_stress(const StructureModel& model,
       out.von_mises = std::abs(out.sigma_xx);
       return out;
     }
-    case ElementType::Tri3: {
-      auto [b, area] = tri3_b(model, e);
-      (void)area;
-      const la::DenseMatrix d = plane_stress_d(m);
-      const auto ue = element_displacements(model, e, u);
-      const auto strain = b.multiply(ue);
-      const auto sigma = d.multiply(strain);
-      out.sigma_xx = sigma[0];
-      out.sigma_yy = sigma[1];
-      out.tau_xy = sigma[2];
-      out.von_mises = von_mises_plane(sigma[0], sigma[1], sigma[2]);
-      return out;
-    }
+    case ElementType::Tri3:
     case ElementType::Quad4: {
-      auto [b, det] = quad4_b(model, e, 0.0, 0.0);  // centroid
-      (void)det;
-      const la::DenseMatrix d = plane_stress_d(m);
-      const auto ue = element_displacements(model, e, u);
-      const auto strain = b.multiply(ue);
-      const auto sigma = d.multiply(strain);
+      const auto sigma =
+          e.type == ElementType::Tri3
+              ? plane_stress(m, tri3_b(model, e).first, e, u)
+              : plane_stress(m, quad4_b(model, e, 0.0, 0.0).first,  // centroid
+                             e, u);
       out.sigma_xx = sigma[0];
       out.sigma_yy = sigma[1];
       out.tau_xy = sigma[2];

@@ -14,9 +14,6 @@ namespace fem2::fem {
 la::DenseMatrix element_stiffness(const StructureModel& model,
                                   const Element& element);
 
-/// Plane-stress constitutive matrix D (3×3) for a material.
-la::DenseMatrix plane_stress_d(const Material& material);
-
 /// Recover the stress of one element from its global displacement vector
 /// (ordered per the model's dofs_per_node numbering).
 ElementStress element_stress(const StructureModel& model,

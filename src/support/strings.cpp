@@ -1,6 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -21,22 +22,25 @@ std::vector<std::string> split(std::string_view s, char delim) {
 }
 
 std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
+  std::vector<std::string_view> views;
+  split_ws(s, views);
+  return {views.begin(), views.end()};
+}
+
+void split_ws(std::string_view s, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    while (i < s.size() && is_space(s[i])) ++i;
+    const std::size_t start = i;
+    while (i < s.size() && !is_space(s[i])) ++i;
+    if (i > start) out.push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
-    s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
-    s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -54,6 +58,27 @@ bool iequals(std::string_view a, std::string_view b) {
       return false;
   }
   return true;
+}
+
+std::optional<double> parse_double(std::string_view token) {
+  // from_chars takes no '+'; strip one, but not in front of a '-'.
+  if (token.starts_with('+')) {
+    token.remove_prefix(1);
+    if (token.starts_with('-')) return std::nullopt;
+  }
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<std::size_t> parse_index(std::string_view token) {
+  std::size_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
 std::string format_bytes(std::uint64_t bytes) {

@@ -1,6 +1,10 @@
 // Application user's VM tests: serialization, database, workspace, and the
 // interactive command language.
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -312,6 +316,164 @@ TEST(Serialize, RejectsStructurallyInvalidModels) {
   // Load on a node that does not exist.
   EXPECT_THROW(parse_model("model m\nnode 0 0\nload pull 9 0 10"),
                SerializeError);
+}
+
+/// A model whose text holds the awkward numbers: signed zero, 0.1, both
+/// sides of %g's switch to exponent form (1e-5/1e-4, 1e16/1e17), 1e21, a
+/// 17-digit integer, subnormals, ±inf, nan and the largest index.
+fem::StructureModel awkward_model() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::size_t>::max();
+  fem::StructureModel m;
+  m.name = "awkward";
+  m.add_node(-0.0, 0.1);
+  m.add_node(1e-5, 1e-4);
+  m.add_node(1e16, 1e17);
+  m.add_node(1e21, 123456789012345678.0);
+  m.add_node(std::numeric_limits<double>::denorm_min(), 1e-310);
+  m.add_node(kInf, -kInf);
+  m.add_node(kNan, -1.5);
+  fem::Material steel;
+  steel.name = "mild-steel";
+  steel.youngs_modulus = 2.1e11;
+  steel.poisson_ratio = 0.3;
+  steel.area = 1e-5;
+  steel.moment_of_inertia = 1e-4;
+  steel.thickness = 0.1;
+  steel.density = 7850.5;
+  m.add_material(steel);
+  m.add_material(fem::Material{});
+  m.add_element(fem::ElementType::Quad4, {0, 1, 2, 3}, 0);
+  m.add_element(fem::ElementType::Tri3, {3, 4, 5}, 1);
+  m.add_element(fem::ElementType::Bar2, {5, 6}, 0);
+  m.add_element(fem::ElementType::Beam2, {6, 0}, 1);
+  m.add_constraint(0, 0, -0.0);
+  m.add_constraint(0, kMaxIndex, 1e-310);
+  m.add_load("tip-shear", 6, 1, -1e-5);
+  m.add_load("gravity", 3, kMaxIndex, 1e21);
+  return m;
+}
+
+/// Results with the same awkward numbers and a method name with spaces.
+fem::AnalysisResult awkward_results() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::size_t>::max();
+  fem::AnalysisResult r;
+  auto& stats = r.solution.stats;
+  stats.method = "pcg (jacobi)  two  spaces";
+  stats.converged = false;
+  stats.iterations = kMaxIndex;
+  stats.residual = 1e-310;
+  stats.matrix_storage_bytes = 123456789012345678;
+  r.solution.displacements.dofs_per_node = 3;
+  r.solution.displacements.values = {
+      -0.0, 0.1,  1e-5,   1e-4, 1e16,  1e17, 1e21, 123456789012345678.0,
+      std::numeric_limits<double>::denorm_min(), kInf, -kInf, kNan,
+      std::copysign(kNan, -1.0), 1e-310, 2.5};
+  r.stresses = {{0, 1.5, -2.5e-7, 3e300, 1e-320},
+                {kMaxIndex, -0.0, kNan, -kInf, 0.1}};
+  r.peak = {kMaxIndex, 1e16, 1e17, 1e-5, 1e-4};
+  return r;
+}
+
+// serialize_model and serialize_results of the two values above, as the
+// ostringstream writers at precision(17) produced them.
+constexpr const char* kAwkwardModelText =
+    "model awkward\n"
+    "node -0 0.10000000000000001\n"
+    "node 1.0000000000000001e-05 0.0001\n"
+    "node 10000000000000000 1e+17\n"
+    "node 1e+21 1.2345678901234568e+17\n"
+    "node 4.9406564584124654e-324 9.9999999999999694e-311\n"
+    "node inf -inf\n"
+    "node nan -1.5\n"
+    "material mild-steel E=210000000000 nu=0.29999999999999999 A=1.0000000000000001e-05 I=0.0001 t=0.10000000000000001 rho=7850.5\n"
+    "material steel E=200000000000 nu=0.29999999999999999 A=0.001 I=9.9999999999999995e-07 t=0.01 rho=7850\n"
+    "element quad4 0 1 2 3 mat=0\n"
+    "element tri3 3 4 5 mat=1\n"
+    "element bar2 5 6 mat=0\n"
+    "element beam2 6 0 mat=1\n"
+    "constraint 0 0 -0\n"
+    "constraint 0 18446744073709551615 9.9999999999999694e-311\n"
+    "load gravity 3 18446744073709551615 1e+21\n"
+    "load tip-shear 6 1 -1.0000000000000001e-05\n"
+;
+constexpr const char* kAwkwardResultsText =
+    "results\n"
+    "method pcg (jacobi)  two  spaces\n"
+    "converged 0\n"
+    "iterations 18446744073709551615\n"
+    "residual 9.9999999999999694e-311\n"
+    "matrix-bytes 123456789012345678\n"
+    "displacements 3 -0 0.10000000000000001 1.0000000000000001e-05 0.0001 10000000000000000 1e+17 1e+21 1.2345678901234568e+17 4.9406564584124654e-324 inf -inf nan -nan 9.9999999999999694e-311 2.5\n"
+    "stress 0 1.5 -2.4999999999999999e-07 3.0000000000000002e+300 9.9998886718268301e-321\n"
+    "stress 18446744073709551615 -0 nan -inf 0.10000000000000001\n"
+    "peak 18446744073709551615 10000000000000000 1e+17 1.0000000000000001e-05 0.0001\n"
+;
+
+TEST(Serialize, ModelTextIsPinned) {
+  EXPECT_EQ(serialize_model(awkward_model()), kAwkwardModelText);
+  EXPECT_EQ(serialize_model(parse_model(kAwkwardModelText)),
+            kAwkwardModelText);
+}
+
+TEST(Serialize, ResultsTextIsPinned) {
+  EXPECT_EQ(serialize_results(awkward_results()), kAwkwardResultsText);
+  EXPECT_EQ(serialize_results(parse_results(kAwkwardResultsText)),
+            kAwkwardResultsText);
+}
+
+TEST(Serialize, SubnormalsRoundTrip) {
+  fem::AnalysisResult results;
+  results.solution.displacements.dofs_per_node = 2;
+  results.solution.displacements.values = {1e-310, -4.9e-324};
+  const auto parsed = parse_results(serialize_results(results));
+  ASSERT_EQ(parsed.solution.displacements.values.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  parsed.solution.displacements.values[i]),
+              std::bit_cast<std::uint64_t>(
+                  results.solution.displacements.values[i]));
+  EXPECT_EQ(parse_model("model m\nnode 1e-310 0\n").nodes.at(0).x, 1e-310);
+  // Overflow, and underflow to zero, are still errors.
+  EXPECT_THROW(parse_model("model m\nnode 1e999 0\n"), SerializeError);
+  EXPECT_THROW(parse_model("model m\nnode 1e-400 0\n"), SerializeError);
+  EXPECT_THROW(parse_model("model m\nnode -1e-400 0\n"), SerializeError);
+}
+
+TEST(Serialize, NumberSyntax) {
+  // from_chars syntax after one optional '+', which std::stod took too.
+  const auto model = parse_model("model m\nnode +1 .5e1\nnode -inf nan\n");
+  EXPECT_EQ(model.nodes.at(0).x, 1.0);
+  EXPECT_EQ(model.nodes.at(0).y, 5.0);
+  EXPECT_EQ(model.nodes.at(1).x, -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(model.nodes.at(1).y));
+  // Hex floats (only strtod read them; no writer emits them), a second
+  // sign, a bare exponent and a sign on an index are errors.
+  for (const char* bad : {"0x1p3", "+-1", "++1", "1e", "+"}) {
+    EXPECT_THROW(parse_model(std::string("model m\nnode ") + bad + " 0\n"),
+                 SerializeError)
+        << bad;
+  }
+  EXPECT_THROW(parse_model("model m\nnode 0 0\nconstraint +0 0 0\n"),
+               SerializeError);
+  // The error names the line and the token.
+  try {
+    parse_model("model m\n\nnode 0x1p3 0\n");
+    ADD_FAILURE() << "hex float accepted";
+  } catch (const SerializeError& e) {
+    EXPECT_STREQ(e.what(), "line 3: expected a number, found '0x1p3'");
+  }
+  // The command language shares the parser.
+  Database db;
+  Session session(db);
+  ASSERT_TRUE(session.execute("new model m").ok);
+  EXPECT_TRUE(session.execute("node +1 0").ok);
+  EXPECT_TRUE(session.execute("node 1e-310 0").ok);
+  EXPECT_FALSE(session.execute("node 0x1p3 0").ok);
+  EXPECT_EQ(session.workspace().model().nodes.size(), 2u);
 }
 
 TEST(Database, OptimisticConcurrencyAndHistory) {

@@ -4,6 +4,7 @@
 // truncate the log at EVERY byte boundary and show that recovery always
 // yields exactly the committed prefix (no lost committed transaction, no
 // resurrected aborted transaction, never a crash on a torn tail).
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "db/crc32.hpp"
 #include "db/engine.hpp"
 #include "db/wal.hpp"
 
@@ -81,6 +83,46 @@ db::WalRecord sample_record() {
   r.value = std::string("payload with\nnewlines and \0 bytes", 33);
   r.revision = 7;
   return r;
+}
+
+TEST(Crc32c, KnownAnswers) {
+  // The iSCSI test vectors (RFC 3720 B.4) and the check value.
+  std::vector<unsigned char> bytes(32, 0x00);
+  EXPECT_EQ(db::crc32c(bytes.data(), bytes.size()), 0x8A9136AAu);
+  std::fill(bytes.begin(), bytes.end(), 0xFF);
+  EXPECT_EQ(db::crc32c(bytes.data(), bytes.size()), 0x62A8AB43u);
+  for (std::size_t i = 0; i < 32; ++i) bytes[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(db::crc32c(bytes.data(), bytes.size()), 0x46DD794Eu);
+  for (std::size_t i = 0; i < 32; ++i)
+    bytes[i] = static_cast<unsigned char>(31 - i);
+  EXPECT_EQ(db::crc32c(bytes.data(), bytes.size()), 0x113FDB5Cu);
+  EXPECT_EQ(db::crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(db::crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, ChainsAtEverySplitAndStartOffset) {
+  // The eight-byte loop and the byte tail must agree wherever a buffer
+  // starts and however it is split: crc32c(b, crc32c(a)) == crc32c(a+b).
+  std::vector<unsigned char> buffer(64 + 8);
+  for (std::size_t i = 0; i < buffer.size(); ++i)
+    buffer[i] = static_cast<unsigned char>(i * 167 + 13);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      std::uint32_t bytewise = 0;  // chained one byte at a time
+      for (std::size_t i = 0; i < length; ++i)
+        bytewise = db::crc32c(data + i, 1, bytewise);
+      const std::uint32_t whole = db::crc32c(data, length);
+      ASSERT_EQ(whole, bytewise) << "offset " << offset << " length "
+                                 << length;
+      for (std::size_t split = 0; split <= length; ++split)
+        ASSERT_EQ(db::crc32c(data + split, length - split,
+                             db::crc32c(data, split)),
+                  whole)
+            << "offset " << offset << " length " << length << " split "
+            << split;
+    }
+  }
 }
 
 TEST(Wal, RecordRoundTripAllTypes) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "fem/mesh.hpp"
 #include "fem/solver.hpp"
 #include "fem/substructure.hpp"
+#include "support/rng.hpp"
 
 namespace fem2::fem {
 namespace {
@@ -112,6 +115,392 @@ TEST(FemElements, Quad4PatchUniaxialStress) {
   EXPECT_NEAR(s.sigma_xx, 1000.0 * 0.01, 1e-9);
   EXPECT_NEAR(s.sigma_yy, 0.0, 1e-9);
   EXPECT_NEAR(s.tau_xy, 0.0, 1e-9);
+}
+
+// --- bit-identity with the DenseMatrix formulation -------------------------
+//
+// The kernels below are test-local copies of the element kernels as they
+// were before they moved to fixed-size arrays: B, D and every product as
+// heap-allocated DenseMatrix temporaries, stresses through
+// DenseMatrix::multiply(span).  The library must reproduce them bit for
+// bit, including DenseMatrix::multiply's skip of zero multipliers, which
+// shows only when a product meets an inf.
+namespace before {
+
+la::DenseMatrix plane_stress_d(const Material& m) {
+  const double e = m.youngs_modulus;
+  const double nu = m.poisson_ratio;
+  FEM2_CHECK_MSG(nu > -1.0 && nu < 0.5, "invalid Poisson ratio");
+  const double f = e / (1.0 - nu * nu);
+  la::DenseMatrix d(3, 3);
+  d(0, 0) = f;
+  d(0, 1) = f * nu;
+  d(1, 0) = f * nu;
+  d(1, 1) = f;
+  d(2, 2) = f * (1.0 - nu) / 2.0;
+  return d;
+}
+
+struct Frame {
+  double length;
+  double c;  ///< cos of element axis angle
+  double s;  ///< sin
+};
+
+Frame element_frame(const Node& a, const Node& b) {
+  const double dx = b.x - a.x;
+  const double dy = b.y - a.y;
+  const double length = std::hypot(dx, dy);
+  FEM2_CHECK_MSG(length > 0.0, "degenerate two-node element");
+  return {length, dx / length, dy / length};
+}
+
+la::DenseMatrix bar2_stiffness(const StructureModel& model,
+                               const Element& e) {
+  const auto& m = model.materials[e.material];
+  const Frame f = element_frame(model.nodes[e.nodes[0]],
+                                model.nodes[e.nodes[1]]);
+  const double k = m.youngs_modulus * m.area / f.length;
+  const double cc = f.c * f.c, ss = f.s * f.s, cs = f.c * f.s;
+  la::DenseMatrix out(4, 4);
+  const double entries[4][4] = {
+      {cc, cs, -cc, -cs},
+      {cs, ss, -cs, -ss},
+      {-cc, -cs, cc, cs},
+      {-cs, -ss, cs, ss},
+  };
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c) out(r, c) = k * entries[r][c];
+  return out;
+}
+
+la::DenseMatrix beam2_stiffness(const StructureModel& model,
+                                const Element& e) {
+  const auto& m = model.materials[e.material];
+  const Frame f = element_frame(model.nodes[e.nodes[0]],
+                                model.nodes[e.nodes[1]]);
+  const double L = f.length;
+  const double ea = m.youngs_modulus * m.area / L;
+  const double ei = m.youngs_modulus * m.moment_of_inertia;
+  const double b12 = 12.0 * ei / (L * L * L);
+  const double b6 = 6.0 * ei / (L * L);
+  const double b4 = 4.0 * ei / L;
+  const double b2 = 2.0 * ei / L;
+
+  la::DenseMatrix local(6, 6);
+  const double entries[6][6] = {
+      {ea, 0, 0, -ea, 0, 0},
+      {0, b12, b6, 0, -b12, b6},
+      {0, b6, b4, 0, -b6, b2},
+      {-ea, 0, 0, ea, 0, 0},
+      {0, -b12, -b6, 0, b12, -b6},
+      {0, b6, b2, 0, -b6, b4},
+  };
+  for (std::size_t r = 0; r < 6; ++r)
+    for (std::size_t c = 0; c < 6; ++c) local(r, c) = entries[r][c];
+
+  // T rotates global into local; per-node blocks [c s 0; -s c 0; 0 0 1].
+  la::DenseMatrix t(6, 6);
+  for (const std::size_t base : {std::size_t{0}, std::size_t{3}}) {
+    t(base + 0, base + 0) = f.c;
+    t(base + 0, base + 1) = f.s;
+    t(base + 1, base + 0) = -f.s;
+    t(base + 1, base + 1) = f.c;
+    t(base + 2, base + 2) = 1.0;
+  }
+  return t.transpose().multiply(local).multiply(t);
+}
+
+/// CST strain-displacement matrix B (3×6) and area.
+std::pair<la::DenseMatrix, double> tri3_b(const StructureModel& model,
+                                          const Element& e) {
+  const Node& n0 = model.nodes[e.nodes[0]];
+  const Node& n1 = model.nodes[e.nodes[1]];
+  const Node& n2 = model.nodes[e.nodes[2]];
+  const double area = triangle_area(n0, n1, n2);
+  FEM2_CHECK_MSG(std::abs(area) > 1e-300, "degenerate triangle element");
+
+  const double b0 = n1.y - n2.y, b1 = n2.y - n0.y, b2 = n0.y - n1.y;
+  const double c0 = n2.x - n1.x, c1 = n0.x - n2.x, c2 = n1.x - n0.x;
+  const double inv2a = 1.0 / (2.0 * area);
+
+  la::DenseMatrix b(3, 6);
+  const double bs[3] = {b0, b1, b2};
+  const double cs[3] = {c0, c1, c2};
+  for (std::size_t i = 0; i < 3; ++i) {
+    b(0, 2 * i) = bs[i] * inv2a;
+    b(1, 2 * i + 1) = cs[i] * inv2a;
+    b(2, 2 * i) = cs[i] * inv2a;
+    b(2, 2 * i + 1) = bs[i] * inv2a;
+  }
+  return {b, area};
+}
+
+la::DenseMatrix tri3_stiffness(const StructureModel& model,
+                               const Element& e) {
+  const auto& m = model.materials[e.material];
+  auto [b, area] = tri3_b(model, e);
+  const la::DenseMatrix d = plane_stress_d(m);
+  la::DenseMatrix k = b.transpose().multiply(d).multiply(b);
+  const double scale = m.thickness * std::abs(area);
+  la::DenseMatrix out(6, 6);
+  out.add_scaled(k, scale);
+  return out;
+}
+
+/// Quad4 B matrix (3×8) at natural coordinates (xi, eta) plus det(J).
+std::pair<la::DenseMatrix, double> quad4_b(const StructureModel& model,
+                                           const Element& e, double xi,
+                                           double eta) {
+  // Shape function derivatives wrt natural coordinates.
+  const double dn_dxi[4] = {-(1 - eta) / 4, (1 - eta) / 4, (1 + eta) / 4,
+                            -(1 + eta) / 4};
+  const double dn_deta[4] = {-(1 - xi) / 4, -(1 + xi) / 4, (1 + xi) / 4,
+                             (1 - xi) / 4};
+
+  double j00 = 0, j01 = 0, j10 = 0, j11 = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const Node& n = model.nodes[e.nodes[i]];
+    j00 += dn_dxi[i] * n.x;
+    j01 += dn_dxi[i] * n.y;
+    j10 += dn_deta[i] * n.x;
+    j11 += dn_deta[i] * n.y;
+  }
+  const double det = j00 * j11 - j01 * j10;
+  FEM2_CHECK_MSG(det > 1e-300, "inverted or degenerate quad element");
+  const double i00 = j11 / det, i01 = -j01 / det;
+  const double i10 = -j10 / det, i11 = j00 / det;
+
+  la::DenseMatrix b(3, 8);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const double dndx = i00 * dn_dxi[i] + i01 * dn_deta[i];
+    const double dndy = i10 * dn_dxi[i] + i11 * dn_deta[i];
+    b(0, 2 * i) = dndx;
+    b(1, 2 * i + 1) = dndy;
+    b(2, 2 * i) = dndy;
+    b(2, 2 * i + 1) = dndx;
+  }
+  return {b, det};
+}
+
+la::DenseMatrix quad4_stiffness(const StructureModel& model,
+                                const Element& e) {
+  const auto& m = model.materials[e.material];
+  const la::DenseMatrix d = plane_stress_d(m);
+  la::DenseMatrix k(8, 8);
+  const double g = 1.0 / std::sqrt(3.0);
+  for (const double xi : {-g, g}) {
+    for (const double eta : {-g, g}) {
+      auto [b, det] = quad4_b(model, e, xi, eta);
+      const la::DenseMatrix kb = b.transpose().multiply(d).multiply(b);
+      k.add_scaled(kb, m.thickness * det);  // unit Gauss weights
+    }
+  }
+  return k;
+}
+
+/// Element displacement vector in the element's own dof layout, extracted
+/// from the model-wide displacement vector.
+std::vector<double> element_displacements(const Element& e,
+                                          const Displacements& u) {
+  const std::size_t edof = element_dofs_per_node(e.type);
+  std::vector<double> out;
+  out.reserve(e.node_count() * edof);
+  for (std::size_t i = 0; i < e.node_count(); ++i)
+    for (std::size_t d = 0; d < edof; ++d)
+      out.push_back(u.at(e.nodes[i], d));
+  return out;
+}
+
+la::DenseMatrix element_stiffness(const StructureModel& model,
+                                  const Element& element) {
+  switch (element.type) {
+    case ElementType::Bar2: return bar2_stiffness(model, element);
+    case ElementType::Beam2: return beam2_stiffness(model, element);
+    case ElementType::Tri3: return tri3_stiffness(model, element);
+    case ElementType::Quad4: return quad4_stiffness(model, element);
+  }
+  FEM2_UNREACHABLE("bad ElementType");
+}
+
+ElementStress element_stress(const StructureModel& model,
+                             std::size_t element_index,
+                             const Displacements& u) {
+  FEM2_CHECK(element_index < model.elements.size());
+  const Element& e = model.elements[element_index];
+  const Material& m = model.materials[e.material];
+
+  ElementStress out;
+  out.element = element_index;
+
+  switch (e.type) {
+    case ElementType::Bar2:
+    case ElementType::Beam2: {
+      const Frame f = element_frame(model.nodes[e.nodes[0]],
+                                    model.nodes[e.nodes[1]]);
+      const double du = u.at(e.nodes[1], 0) - u.at(e.nodes[0], 0);
+      const double dv = u.at(e.nodes[1], 1) - u.at(e.nodes[0], 1);
+      const double strain = (du * f.c + dv * f.s) / f.length;
+      out.sigma_xx = m.youngs_modulus * strain;
+      out.von_mises = std::abs(out.sigma_xx);
+      return out;
+    }
+    case ElementType::Tri3: {
+      auto [b, area] = tri3_b(model, e);
+      (void)area;
+      const la::DenseMatrix d = plane_stress_d(m);
+      const auto ue = element_displacements(e, u);
+      const auto strain = b.multiply(ue);
+      const auto sigma = d.multiply(strain);
+      out.sigma_xx = sigma[0];
+      out.sigma_yy = sigma[1];
+      out.tau_xy = sigma[2];
+      out.von_mises = von_mises_plane(sigma[0], sigma[1], sigma[2]);
+      return out;
+    }
+    case ElementType::Quad4: {
+      auto [b, det] = quad4_b(model, e, 0.0, 0.0);  // centroid
+      (void)det;
+      const la::DenseMatrix d = plane_stress_d(m);
+      const auto ue = element_displacements(e, u);
+      const auto strain = b.multiply(ue);
+      const auto sigma = d.multiply(strain);
+      out.sigma_xx = sigma[0];
+      out.sigma_yy = sigma[1];
+      out.tau_xy = sigma[2];
+      out.von_mises = von_mises_plane(sigma[0], sigma[1], sigma[2]);
+      return out;
+    }
+  }
+  FEM2_UNREACHABLE("bad ElementType");
+}
+
+
+}  // namespace before
+
+/// Bitwise equality, so a -0.0/+0.0 or NaN-payload drift also fails.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Compares one element's stiffness and stress (under displacements u)
+/// with the DenseMatrix formulation; both must throw or neither.
+void expect_element_matches(const StructureModel& model, std::size_t index,
+                            const Displacements& u, const std::string& what) {
+  const Element& e = model.elements[index];
+  bool threw = false;
+  la::DenseMatrix want;
+  try {
+    want = before::element_stiffness(model, e);
+  } catch (const support::CheckError&) {
+    threw = true;
+  }
+  if (threw) {
+    EXPECT_THROW(element_stiffness(model, e), support::CheckError) << what;
+    EXPECT_THROW(element_stress(model, index, u), support::CheckError)
+        << what;
+    return;
+  }
+  const la::DenseMatrix got = element_stiffness(model, e);
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_TRUE(same_bits(got.data(), want.data())) << what << " K_e\n"
+                                                  << got.to_string(17)
+                                                  << want.to_string(17);
+  const ElementStress s = element_stress(model, index, u);
+  const ElementStress w = before::element_stress(model, index, u);
+  const double got_s[] = {s.sigma_xx, s.sigma_yy, s.tau_xy, s.von_mises};
+  const double want_s[] = {w.sigma_xx, w.sigma_yy, w.tau_xy, w.von_mises};
+  EXPECT_TRUE(same_bits(got_s, want_s)) << what << " stress";
+}
+
+Displacements random_displacements(const StructureModel& model,
+                                   support::Rng& rng) {
+  Displacements u;
+  u.dofs_per_node = model.dofs_per_node();
+  u.values.resize(model.nodes.size() * u.dofs_per_node);
+  for (double& v : u.values) v = rng.uniform(-1e-3, 1e-3);
+  return u;
+}
+
+TEST(ElementBitIdentity, SkewedRotatedAndScaledElements) {
+  // Each element's nodes are the unit square's corners, jittered (skew),
+  // stretched along one axis, rotated, scaled by 1e-6..1e6 and shifted.
+  // Every 13th material overflows D to inf, and every 11th element is
+  // shrunk by 1e-110, so beam terms like 12EI/L^3 overflow too.
+  support::Rng rng(18);
+  constexpr ElementType kTypes[] = {ElementType::Bar2, ElementType::Beam2,
+                                    ElementType::Tri3, ElementType::Quad4};
+  for (int trial = 0; trial < 1200; ++trial) {
+    const ElementType type = kTypes[trial % 4];
+    StructureModel model;
+    Material m;
+    m.youngs_modulus = std::pow(10.0, rng.uniform(-3.0, 13.0));
+    if (trial % 13 == 0) m.youngs_modulus = 1.7e308;
+    m.poisson_ratio = rng.uniform(-0.9, 0.49);
+    m.area = rng.uniform(1e-4, 1.0);
+    m.moment_of_inertia = rng.uniform(1e-8, 1e-2);
+    m.thickness = rng.uniform(1e-3, 1.0);
+    model.add_material(m);
+    double scale = std::pow(10.0, rng.uniform(-6.0, 6.0));
+    if (trial % 11 == 0) scale *= 1e-110;
+    const double stretch = rng.uniform(0.2, 5.0);
+    const double angle = rng.uniform(0.0, 6.283185307179586);
+    const double ca = std::cos(angle), sa = std::sin(angle);
+    const double ox = rng.uniform(-100.0, 100.0);
+    const double oy = rng.uniform(-100.0, 100.0);
+    const double corners[4][2] = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+    for (const auto& c : corners) {
+      const double x = (c[0] + rng.uniform(-0.3, 0.3)) * scale;
+      const double y = (c[1] + rng.uniform(-0.3, 0.3)) * scale * stretch;
+      model.add_node(ox + ca * x - sa * y, oy + sa * x + ca * y);
+    }
+    switch (type) {
+      case ElementType::Bar2: model.add_element(type, {0, 1}); break;
+      case ElementType::Beam2: model.add_element(type, {0, 2}); break;
+      case ElementType::Tri3: model.add_element(type, {0, 1, 2}); break;
+      case ElementType::Quad4: model.add_element(type, {0, 1, 2, 3}); break;
+    }
+    expect_element_matches(model, 0, random_displacements(model, rng),
+                           "trial " + std::to_string(trial));
+  }
+}
+
+TEST(ElementBitIdentity, EveryElementOfTheBenchmarkSheets) {
+  support::Rng rng(48);
+  for (const auto& [nx, ny] : {std::pair<std::size_t, std::size_t>{8, 4},
+                              {16, 8},
+                              {48, 12}}) {
+    for (const ElementType type : {ElementType::Quad4, ElementType::Tri3}) {
+      PlateMeshOptions mesh;
+      mesh.nx = nx;
+      mesh.ny = ny;
+      mesh.width = static_cast<double>(nx) / 8.0;
+      mesh.height = static_cast<double>(ny) / 8.0;
+      mesh.element = type;
+      mesh.material.youngs_modulus = 70e9;
+      mesh.material.thickness = 0.005;
+      const auto model = make_cantilever_plate(mesh, 1'000.0);
+      const auto u = random_displacements(model, rng);
+      for (std::size_t i = 0; i < model.elements.size(); ++i)
+        expect_element_matches(model, i, u,
+                               std::to_string(nx) + "x" + std::to_string(ny) +
+                                   " element " + std::to_string(i));
+    }
+  }
+  FrameOptions frame;
+  frame.segments = 9;
+  const auto beam = make_cantilever_beam(frame, 5.0);
+  TrussOptions truss;
+  truss.bays = 7;
+  const auto bridge = make_truss_bridge(truss, 3.0);
+  for (const auto* model : {&beam, &bridge}) {
+    const auto u = random_displacements(*model, rng);
+    for (std::size_t i = 0; i < model->elements.size(); ++i)
+      expect_element_matches(*model, i, u, model->name + " element " +
+                                               std::to_string(i));
+  }
 }
 
 TEST(FemSolvers, AllSolversAgreeOnCantileverPlate) {

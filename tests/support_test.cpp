@@ -155,6 +155,31 @@ TEST(Strings, SplitAndTrim) {
   EXPECT_FALSE(iequals("hello", "hell"));
 }
 
+TEST(Strings, SplitWsIntoViewsReusesTheVector) {
+  std::vector<std::string_view> tokens{"stale"};
+  split_ws("a\r\vb\f c", tokens);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"a", "b", "c"}));
+  split_ws(" \t ", tokens);
+  EXPECT_TRUE(tokens.empty());
+}
+
+TEST(Strings, ParseNumbers) {
+  EXPECT_EQ(parse_double("2.5"), 2.5);
+  EXPECT_EQ(parse_double("+2.5e1"), 25.0);
+  EXPECT_EQ(parse_double("-0.0"), 0.0);
+  EXPECT_TRUE(std::signbit(*parse_double("-0.0")));
+  EXPECT_EQ(parse_double("4.9406564584124654e-324"), 4.9406564584124654e-324);
+  EXPECT_EQ(parse_double("-inf"), -HUGE_VAL);
+  EXPECT_TRUE(std::isnan(*parse_double("nan")));
+  for (const char* bad : {"", "+", "-", "+-1", "++1", " 1", "1 ", "1e", "0x1p3",
+                          "1e999", "1e-400", "1,5", "one"})
+    EXPECT_EQ(parse_double(bad), std::nullopt) << bad;
+  EXPECT_EQ(parse_index("0"), 0u);
+  EXPECT_EQ(parse_index("18446744073709551615"), 18446744073709551615u);
+  for (const char* bad : {"", "+1", "-1", "1.0", "18446744073709551616", "1e3"})
+    EXPECT_EQ(parse_index(bad), std::nullopt) << bad;
+}
+
 TEST(Strings, Formatting) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2048), "2.0 KiB");
