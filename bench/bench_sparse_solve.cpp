@@ -1,13 +1,13 @@
 // E15 — fast solve path: CSR assembly + preconditioned CG against the
 // direct solvers on the E1 cantilever sheet.
 //
-// All four host solve paths (dense Cholesky, skyline Cholesky, CG+Jacobi,
-// CG+two-level) run on the same assembled system; processing cost is a
+// The three host solve paths (dense Cholesky, skyline Cholesky,
+// CG+Jacobi) run on the same assembled system; processing cost is a
 // deterministic flop model (1 flop = 1 cycle), so the reported
 // solve_cycles are exactly reproducible run-over-run:
 //   dense:    n³/3 + 2n²               (factor + two triangular solves)
 //   skyline:  Σ h_r² + 2 Σ h_r        (envelope heights from the pattern)
-//   cg:       iters × per-iteration flops (SpMV + vector ops + M⁻¹ apply)
+//   cg:       iters × per-iteration flops (SpMV + vector ops + D⁻¹ apply)
 // Iteration counts come from the actual solves, so a preconditioner
 // regression shifts the model immediately.
 #include "bench_common.hpp"
@@ -24,7 +24,6 @@ struct FlopModel {
   double nnz = 0;
   double envelope = 0;   ///< Σ h_r, skyline column heights
   double envelope2 = 0;  ///< Σ h_r²
-  double coarse = 0;     ///< two-level coarse dofs
 
   double dense() const { return n * n * n / 3.0 + 2.0 * n * n; }
   double skyline() const { return envelope2 + 2.0 * envelope; }
@@ -32,13 +31,6 @@ struct FlopModel {
   /// Jacobi apply (n).
   double cg_jacobi(double iters) const {
     return iters * (2.0 * nnz + 11.0 * n);
-  }
-  /// Two-level V-cycle apply adds two more SpMVs (4nnz), two smoother
-  /// sweeps (6n), restrict/prolong (2n) and the dense coarse
-  /// back-substitution (2nc²); setup factorizes A_c once (nc³/3).
-  double cg_two_level(double iters) const {
-    return iters * (6.0 * nnz + 19.0 * n + 2.0 * coarse * coarse) +
-           coarse * coarse * coarse / 3.0;
   }
 };
 
@@ -55,7 +47,6 @@ FlopModel model_for(const fem::AssembledSystem& system) {
     m.envelope += h;
     m.envelope2 += h * h;
   }
-  m.coarse = 32;  // TwoLevelOptions default, aggregates stay dof-count ≥ nc
   return m;
 }
 
@@ -81,8 +72,7 @@ int main(int argc, char** argv) {
   support::Table table(
       "Host solve paths on the cantilever sheet (solve_cycles = flop model)");
   table.set_header({"grid", "dofs", "nnz", "dense Mcyc", "skyline Mcyc",
-                    "pcg-jacobi Mcyc", "(iters)", "pcg-two-level Mcyc",
-                    "(iters)", "csr bytes"});
+                    "pcg-jacobi Mcyc", "(iters)", "csr bytes"});
 
   for (const auto& [nx, ny] : grids) {
     const std::string grid = std::to_string(nx) + "x" + std::to_string(ny);
@@ -95,25 +85,17 @@ int main(int argc, char** argv) {
     const auto jacobi = fem::solve_static(
         model, "tip-shear",
         {.kind = fem::SolverKind::PreconditionedCg, .tolerance = 1e-10});
-    const auto two_level = fem::solve_static(
-        model, "tip-shear",
-        {.kind = fem::SolverKind::TwoLevelCg, .tolerance = 1e-10});
-    FEM2_CHECK(jacobi.stats.converged && two_level.stats.converged);
+    FEM2_CHECK(jacobi.stats.converged);
     const double scale =
         std::max(1.0, la::norm_inf(dense.displacements.values));
     FEM2_CHECK_MSG(max_abs_diff(jacobi.displacements.values,
                                 dense.displacements.values) < 1e-6 * scale,
                    "CG+Jacobi disagrees with the dense reference");
-    FEM2_CHECK_MSG(max_abs_diff(two_level.displacements.values,
-                                dense.displacements.values) < 1e-6 * scale,
-                   "CG+two-level disagrees with the dense reference");
 
     const double dense_cycles = flops.dense();
     const double skyline_cycles = flops.skyline();
     const double jacobi_cycles =
         flops.cg_jacobi(static_cast<double>(jacobi.stats.iterations));
-    const double two_level_cycles =
-        flops.cg_two_level(static_cast<double>(two_level.stats.iterations));
 
     // Acceptance bar: from the E1 16x8 mesh (n = 288) up, the iterative
     // path must halve the dense processing cost (it is ~8× better there
@@ -123,8 +105,6 @@ int main(int argc, char** argv) {
     if (system.dofs.free_dofs >= 256) {
       FEM2_CHECK_MSG(jacobi_cycles * 2.0 <= dense_cycles,
                      "CG+Jacobi no longer halves the dense solve cost");
-      FEM2_CHECK_MSG(two_level_cycles * 2.0 <= dense_cycles,
-                     "CG+two-level no longer halves the dense solve cost");
     }
 
     table.row()
@@ -135,30 +115,21 @@ int main(int argc, char** argv) {
         .cell(skyline_cycles / 1e6, 3)
         .cell(jacobi_cycles / 1e6, 3)
         .cell(static_cast<std::uint64_t>(jacobi.stats.iterations))
-        .cell(two_level_cycles / 1e6, 3)
-        .cell(static_cast<std::uint64_t>(two_level.stats.iterations))
         .cell(support::format_bytes(system.stiffness.storage_bytes()));
 
     bench::note("dense_cycles_" + grid, dense_cycles, "cycles");
     bench::note("skyline_cycles_" + grid, skyline_cycles, "cycles");
     bench::note("pcg_jacobi_cycles_" + grid, jacobi_cycles, "cycles");
-    bench::note("pcg_two_level_cycles_" + grid, two_level_cycles, "cycles");
     bench::note("pcg_jacobi_iters_" + grid,
                 static_cast<double>(jacobi.stats.iterations), "iters");
-    bench::note("pcg_two_level_iters_" + grid,
-                static_cast<double>(two_level.stats.iterations), "iters");
     bench::note("csr_storage_bytes_" + grid,
                 static_cast<double>(system.stiffness.storage_bytes()),
                 "bytes");
   }
   table.print(std::cout);
 
-  std::cout << "\nShape check: the sparse iterative paths beat dense "
+  std::cout << "\nShape check: the sparse iterative path beats dense "
                "Cholesky by a growing\nmargin from 16x8 up (the acceptance "
-               "bar is ≤50% there); 8x4 marks the\nsparse/dense crossover. "
-               "Two-level needs fewer iterations than Jacobi but\npays ~3× "
-               "per application, so on raw flops Jacobi wins at these "
-               "grids —\nthe iteration cut is what matters where each "
-               "iteration is a message round\n(see E3/E7).\n";
+               "bar is ≤50% there); 8x4 marks the\nsparse/dense crossover.\n";
   return bench::finish();
 }

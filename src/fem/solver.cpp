@@ -1,8 +1,5 @@
 #include "fem/solver.hpp"
 
-#include <algorithm>
-#include <memory>
-
 #include "la/skyline.hpp"
 #include "navm/parops.hpp"
 
@@ -14,7 +11,6 @@ std::string_view solver_kind_name(SolverKind k) {
     case SolverKind::DenseCholesky: return "dense-cholesky";
     case SolverKind::ConjugateGradient: return "cg";
     case SolverKind::PreconditionedCg: return "pcg-jacobi";
-    case SolverKind::TwoLevelCg: return "pcg-two-level";
     case SolverKind::GaussSeidel: return "gauss-seidel";
     case SolverKind::Sor: return "sor";
     case SolverKind::Jacobi: return "jacobi";
@@ -37,14 +33,17 @@ StaticSolution solve_reduced(const AssembledSystem& system,
   iter.max_iterations = options.max_iterations;
   iter.sor_omega = options.sor_omega;
 
-  std::vector<double> reduced;
+  // Direct methods fill x and the residual; iterative ones the whole
+  // report.
+  la::SolveResult result;
+  result.report.converged = true;
   switch (options.kind) {
     case SolverKind::SkylineDirect: {
       la::SkylineMatrix sky = la::SkylineMatrix::from_csr(k);
       out.stats.matrix_storage_bytes = sky.storage_bytes();
       sky.factorize();
-      reduced = sky.solve(rhs);
-      out.stats.residual = la::relative_residual(k, reduced, rhs);
+      result.x = sky.solve(rhs);
+      result.report.residual_norm = la::relative_residual(k, result.x, rhs);
       break;
     }
     case SolverKind::DenseCholesky: {
@@ -52,67 +51,31 @@ StaticSolution solve_reduced(const AssembledSystem& system,
       out.stats.matrix_storage_bytes =
           dense.rows() * dense.cols() * sizeof(double);
       la::CholeskyFactorization chol(dense);
-      reduced = chol.solve(rhs);
-      out.stats.residual = la::relative_residual(k, reduced, rhs);
+      result.x = chol.solve(rhs);
+      result.report.residual_norm = la::relative_residual(k, result.x, rhs);
       break;
     }
     case SolverKind::ConjugateGradient:
     case SolverKind::PreconditionedCg:
-    case SolverKind::TwoLevelCg: {
       iter.jacobi_preconditioner =
           options.kind == SolverKind::PreconditionedCg;
-      std::unique_ptr<la::TwoLevelPreconditioner> two_level;
-      if (options.kind == SolverKind::TwoLevelCg) {
-        la::TwoLevelOptions tl = options.two_level;
-        if (tl.aggregate_of.empty()) {
-          // Mesh-aware aggregation: contiguous node blocks with one
-          // aggregate per displacement component, so the coarse space
-          // spans per-block translations in every direction.  Mixing
-          // components in one aggregate (plain index blocks) cancels
-          // opposite-signed x/y residuals and weakens the coarse solve.
-          const std::size_t ndof = system.dofs.dofs_per_node;
-          const std::size_t nodes = system.dofs.full_dofs / ndof;
-          const std::size_t blocks = std::max<std::size_t>(
-              1, tl.coarse_dofs / std::max<std::size_t>(1, ndof));
-          const std::size_t block_nodes = (nodes + blocks - 1) / blocks;
-          tl.aggregate_of.resize(k.rows());
-          for (std::size_t r = 0; r < k.rows(); ++r) {
-            const std::size_t full = system.dofs.reduced_to_full[r];
-            tl.aggregate_of[r] =
-                (full / ndof / block_nodes) * ndof + full % ndof;
-          }
-        }
-        two_level = std::make_unique<la::TwoLevelPreconditioner>(k, tl);
-        iter.preconditioner = two_level.get();
-      }
-      auto result = la::conjugate_gradient(k, rhs, iter);
-      reduced = std::move(result.x);
-      out.stats.converged = result.report.converged;
-      out.stats.iterations = result.report.iterations;
-      out.stats.residual = result.report.residual_norm;
+      result = la::conjugate_gradient(k, rhs, iter);
       break;
-    }
     case SolverKind::GaussSeidel:
-    case SolverKind::Sor: {
-      if (options.kind == SolverKind::GaussSeidel) iter.sor_omega = 1.0;
-      auto result = la::sor(k, rhs, iter);
-      reduced = std::move(result.x);
-      out.stats.converged = result.report.converged;
-      out.stats.iterations = result.report.iterations;
-      out.stats.residual = result.report.residual_norm;
+      iter.sor_omega = 1.0;
+      [[fallthrough]];
+    case SolverKind::Sor:
+      result = la::sor(k, rhs, iter);
       break;
-    }
-    case SolverKind::Jacobi: {
-      auto result = la::jacobi(k, rhs, iter);
-      reduced = std::move(result.x);
-      out.stats.converged = result.report.converged;
-      out.stats.iterations = result.report.iterations;
-      out.stats.residual = result.report.residual_norm;
+    case SolverKind::Jacobi:
+      result = la::jacobi(k, rhs, iter);
       break;
-    }
   }
 
-  out.displacements = system.expand(reduced);
+  out.stats.converged = result.report.converged;
+  out.stats.iterations = result.report.iterations;
+  out.stats.residual = result.report.residual_norm;
+  out.displacements = system.expand(result.x);
   return out;
 }
 

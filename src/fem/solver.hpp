@@ -9,7 +9,6 @@
 #include "fem/assembly.hpp"
 #include "fem/model.hpp"
 #include "la/iterative.hpp"
-#include "la/precond.hpp"
 #include "navm/runtime.hpp"
 
 namespace fem2::fem {
@@ -19,7 +18,6 @@ enum class SolverKind {
   DenseCholesky,
   ConjugateGradient,
   PreconditionedCg,  ///< Jacobi-preconditioned CG
-  TwoLevelCg,        ///< CG with the two-level (coarse-grid) preconditioner
   GaussSeidel,
   Sor,
   Jacobi,
@@ -32,7 +30,6 @@ struct SolverOptions {
   double tolerance = 1e-10;
   std::size_t max_iterations = 20'000;
   double sor_omega = 1.5;
-  la::TwoLevelOptions two_level{};  ///< used by SolverKind::TwoLevelCg
 };
 
 struct SolveStats {

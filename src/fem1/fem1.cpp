@@ -70,13 +70,6 @@ Fem1Result fem1_solve(const la::CsrMatrix& k, std::span<const double> rhs,
 
   // Rows (dofs) striped in contiguous blocks across surviving processors.
   const std::size_t p_used = std::min(p_eff, n);
-  auto owner = [&](std::size_t row) {
-    // Inverse of block_begin partitioning.
-    for (std::size_t p = 0; p < p_used; ++p) {
-      if (row < navm::block_begin(n, p_used, p + 1)) return p;
-    }
-    FEM2_UNREACHABLE("row outside partition");
-  };
   std::vector<std::size_t> row_owner(n);
   {
     std::size_t p = 0;
@@ -85,7 +78,6 @@ Fem1Result fem1_solve(const la::CsrMatrix& k, std::span<const double> rhs,
       row_owner[r] = p;
     }
   }
-  (void)owner;
 
   // --- per-sweep cost model (identical every sweep) -----------------------
   std::vector<std::uint64_t> flops(p_used, 0);

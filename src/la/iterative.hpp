@@ -13,17 +13,11 @@
 
 namespace fem2::la {
 
-class Preconditioner;
-
 struct SolveOptions {
   double tolerance = 1e-10;      ///< relative residual ‖r‖/‖b‖ target
   std::size_t max_iterations = 10'000;
   double sor_omega = 1.0;        ///< 1.0 == plain Gauss-Seidel
-  bool jacobi_preconditioner = false;  ///< for CG; shorthand for Jacobi
-  /// For CG: explicit preconditioner (see la/precond.hpp).  Takes
-  /// precedence over jacobi_preconditioner; not owned, must outlive
-  /// the solve.
-  const Preconditioner* preconditioner = nullptr;
+  bool jacobi_preconditioner = false;  ///< for CG: z = D⁻¹ r, D = diag(A)
 };
 
 struct SolveReport {
@@ -46,8 +40,9 @@ struct SolveResult {
 SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
                                const SolveOptions& options = {});
 
-/// Jacobi iteration (requires nonzero diagonal; converges for strictly
-/// diagonally dominant or SPD-with-small-spectral-radius systems).
+/// Jacobi iteration (requires a nonzero diagonal once it has to sweep;
+/// converges for strictly diagonally dominant or
+/// SPD-with-small-spectral-radius systems).
 SolveResult jacobi(const CsrMatrix& a, std::span<const double> b,
                    const SolveOptions& options = {});
 

@@ -125,16 +125,15 @@ CsrMatrix::CsrMatrix(std::shared_ptr<const SparsityPattern> pattern,
 
 Vector CsrMatrix::multiply(std::span<const double> x) const {
   Vector y(rows(), 0.0);
-  multiply_rows(x, 0, rows(), y);
+  multiply_rows(x, y);
   return y;
 }
 
-void CsrMatrix::multiply_rows(std::span<const double> x, std::size_t row_begin,
-                              std::size_t row_end, std::span<double> y) const {
+void CsrMatrix::multiply_rows(std::span<const double> x,
+                              std::span<double> y) const {
   FEM2_CHECK(x.size() == cols());
-  FEM2_CHECK(row_begin <= row_end && row_end <= rows());
-  spmv_rows(pattern_->row_ptr(), pattern_->col_idx(), values_, x, row_begin,
-            row_end, y);
+  FEM2_CHECK(y.size() == rows());
+  spmv_rows(pattern_->row_ptr(), pattern_->col_idx(), values_, x, y);
 }
 
 Vector CsrMatrix::multiply_transpose(std::span<const double> x) const {

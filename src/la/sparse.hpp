@@ -100,10 +100,9 @@ class CsrMatrix {
 
   Vector multiply(std::span<const double> x) const;  ///< y = A x
 
-  /// y = A x restricted to rows [row_begin, row_end) — the kernel the
-  /// distributed matvec (navm) runs per shard.
-  void multiply_rows(std::span<const double> x, std::size_t row_begin,
-                     std::size_t row_end, std::span<double> y) const;
+  /// y = A x into the caller's y (y.size() == rows()), allocation-free:
+  /// the kernel CG and the distributed matvec (navm) run per shard.
+  void multiply_rows(std::span<const double> x, std::span<double> y) const;
 
   Vector multiply_transpose(std::span<const double> x) const;  ///< y = Aᵀ x
 

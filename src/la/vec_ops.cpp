@@ -82,14 +82,13 @@ Vector add(std::span<const double> x, std::span<const double> y) {
 void spmv_rows(std::span<const std::size_t> row_ptr,
                std::span<const std::size_t> col_idx,
                std::span<const double> values, std::span<const double> x,
-               std::size_t row_begin, std::size_t row_end,
                std::span<double> y) {
-  FEM2_CHECK(row_end < row_ptr.size() + 1 && row_begin <= row_end);
-  FEM2_CHECK(y.size() >= row_end - row_begin);
+  const std::size_t rows = y.size();
+  FEM2_CHECK(row_ptr.size() == rows + 1);
   const std::size_t* cols = col_idx.data();
   const double* vals = values.data();
   const double* xv = x.data();
-  for (std::size_t r = row_begin; r < row_end; ++r) {
+  for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t begin = row_ptr[r];
     const std::size_t end = row_ptr[r + 1];
     // Two accumulators over the row: short FEM rows (~9-18 nnz) still
@@ -101,7 +100,7 @@ void spmv_rows(std::span<const std::size_t> row_ptr,
       acc1 += vals[k + 1] * xv[cols[k + 1]];
     }
     if (k < end) acc0 += vals[k] * xv[cols[k]];
-    y[r - row_begin] = acc0 + acc1;
+    y[r] = acc0 + acc1;
   }
 }
 

@@ -2,11 +2,10 @@
 // std::span so distributed-array shards (src/navm) reuse them unchanged.
 //
 // The kernels are written SIMD-friendly: unit-stride loops over raw
-// pointers with multiple independent accumulators, no aliasing between
-// inputs and outputs (except where documented), and no shared mutable
-// state — the multi-threaded host backend calls them concurrently on
-// disjoint lanes without locking.  Reduction order is fixed (4-way
-// unrolled), so results are bit-identical at any host thread count.
+// pointers with multiple independent accumulators and no aliasing between
+// inputs and outputs (except where documented).  Each reduction sums in
+// one fixed order (4-way unrolled), so a result is bit-reproducible from
+// its inputs alone.
 #pragma once
 
 #include <cmath>
@@ -63,14 +62,13 @@ Vector subtract(std::span<const double> x, std::span<const double> y);
 /// z = x + y
 Vector add(std::span<const double> x, std::span<const double> y);
 
-/// y[r - row_begin] = sum_k values[k] * x[col_idx[k]] over CSR rows
-/// [row_begin, row_end).  The raw CSR SpMV kernel: CsrMatrix and the
-/// per-lane distributed matvec both call it; each lane owns a disjoint
-/// row range and a disjoint output slice, so no synchronization is needed.
+/// y[r] = sum_k values[k] * x[col_idx[k]] over every CSR row r
+/// (row_ptr.size() == y.size() + 1).  The raw CSR SpMV kernel behind
+/// CsrMatrix::multiply_rows; each row sums in two alternating
+/// accumulators, an order the Jacobi/SOR sweep's residual repeats.
 void spmv_rows(std::span<const std::size_t> row_ptr,
                std::span<const std::size_t> col_idx,
                std::span<const double> values, std::span<const double> x,
-               std::size_t row_begin, std::size_t row_end,
                std::span<double> y);
 
 }  // namespace fem2::la

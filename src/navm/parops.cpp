@@ -172,7 +172,7 @@ Coro matvec_body(TaskContext& ctx) {
   const auto& p = ctx.params().as<MatvecParams>();
   const std::vector<double> x = co_await ctx.read(p.x);
   std::vector<double> y(p.shard.rows(), 0.0);
-  p.shard.multiply_rows(x, 0, p.shard.rows(), y);
+  p.shard.multiply_rows(x, y);
   ctx.charge_flops(2 * p.shard.nonzeros());
   co_await ctx.write(p.y, std::move(y));
   co_return sysvm::Payload{};
@@ -276,7 +276,7 @@ Coro cg_worker_body(TaskContext& ctx) {
       std::copy(seg.begin(), seg.end(),
                 p_full.begin() + static_cast<std::ptrdiff_t>(ov.global_begin));
     }
-    wp.shard.multiply_rows(p_full, 0, len, q);
+    wp.shard.multiply_rows(p_full, q);
     ctx.charge_flops(2 * wp.shard.nonzeros());
 
     // --- alpha round -------------------------------------------------------

@@ -250,27 +250,6 @@ TEST(SparsityPattern, AddAtScattersByOffset) {
   EXPECT_EQ(m.nonzeros(), 3u);
 }
 
-/// Lane-partitioned SpMV must be bit-identical to the whole-matrix product
-/// for any partition — the property the multi-threaded host backend relies
-/// on to stay deterministic at every thread count.
-TEST(CsrProperty, SpmvRowsPartitionIsBitIdentical) {
-  const auto m = random_sparse({32, 32}, 0.3, 2024);
-  support::Rng rng(7);
-  const Vector x = random_vector(32, rng);
-  const Vector whole = m.csr.multiply(x);
-
-  for (const std::size_t lanes : {2u, 3u, 5u, 32u}) {
-    Vector stitched(32, 0.0);
-    const std::size_t chunk = (32 + lanes - 1) / lanes;
-    for (std::size_t begin = 0; begin < 32; begin += chunk) {
-      const std::size_t end = std::min<std::size_t>(begin + chunk, 32);
-      std::span<double> slice(stitched.data() + begin, end - begin);
-      m.csr.multiply_rows(x, begin, end, slice);
-    }
-    EXPECT_EQ(stitched, whole);  // bitwise, not approximate
-  }
-}
-
 TEST(VecOpsKernels, XpayAndHadamard) {
   Vector x{1.0, 2.0, 3.0};
   Vector y{10.0, 20.0, 30.0};

@@ -25,10 +25,12 @@ Policy, matching the determinism story of the simulator:
     speed-up ratios higher-is-better.
   * a row whose unit is in neither set FAILS: its direction is unknown,
     so the gate cannot judge it.
-  * missing metrics WARN in both directions: a current metric absent
-    from the baseline (new bench / new row — run --update to adopt it)
-    and a baseline metric absent from the current reports (a bench
-    silently stopped emitting it, which is how coverage rots).
+  * a baseline metric absent from the current report FAILS when its unit
+    is deterministic: a bench that silently stops emitting a gated number
+    would otherwise pass, which is how coverage rots.  Drop a row on
+    purpose by removing it from the baseline in the same change.  Missing
+    host-unit rows only WARN, as does a current metric absent from the
+    baseline (new bench / new row — run --update to adopt it).
   * a malformed report (unparsable JSON, wrong shape) or an empty one
     (no rows) FAILS: a bench that crashed mid-write or emitted nothing
     must not pass the gate by accident.
@@ -97,9 +99,15 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
         base_rows = rows_by_metric(base)
         current_rows = rows_by_metric(report)
         for metric in sorted(base_rows.keys() - current_rows.keys()):
-            print(f"warn  {experiment}/{metric}: in baseline but missing "
+            deterministic = (base_rows[metric].get("unit", "")
+                             in DETERMINISTIC_UNITS)
+            kind = "FAIL " if deterministic else "warn "
+            print(f"{kind} {experiment}/{metric}: in baseline but missing "
                   f"from the current report")
-            warnings += 1
+            if deterministic:
+                failures += 1
+            else:
+                warnings += 1
         for metric, row in current_rows.items():
             unit = row.get("unit", "")
             deterministic = unit in DETERMINISTIC_UNITS

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Tests for bench_compare.py's per-unit verdicts.
+"""Tests for bench_compare.py's per-unit and missing-row verdicts.
 
-Each case writes one baseline row and one current row into a temporary
-directory, runs the gate on them and checks its verdict line and exit
-code.  Run directly or through ctest (tools.bench_compare_test).
+Each case writes a baseline and a current report, usually one row each,
+into a temporary directory, runs the gate on them and checks its verdict
+line and exit code.  Run directly or through ctest
+(tools.bench_compare_test).
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "bench_compare.py"
 
 
-def gate_output(unit: str, old: float, new: float,
-                metric: str = "m") -> tuple[int, str]:
-    """Gate one metric moving from old to new; returns (exit code, stdout)."""
+def row(metric: str, value: float, unit: str) -> dict:
+    return {"metric": metric, "value": value, "unit": unit}
+
+
+def compare_output(base_rows: list[dict],
+                   current_rows: list[dict]) -> tuple[int, str]:
+    """Gate one E0 report against one E0 baseline; (exit code, stdout)."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        report = {"experiment": "E0", "host_wall_ms": 1,
-                  "rows": [{"metric": metric, "value": new, "unit": unit}]}
-        baseline = {"E0": dict(report, rows=[
-            {"metric": metric, "value": old, "unit": unit}])}
+        report = {"experiment": "E0", "host_wall_ms": 1, "rows": current_rows}
+        baseline = {"E0": dict(report, rows=base_rows)}
         (root / "BENCH_E0.json").write_text(json.dumps(report))
         (root / "baseline.json").write_text(json.dumps(baseline))
         proc = subprocess.run(
@@ -34,6 +37,12 @@ def gate_output(unit: str, old: float, new: float,
              "--baseline", str(root / "baseline.json")],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     return proc.returncode, proc.stdout
+
+
+def gate_output(unit: str, old: float, new: float,
+                metric: str = "m") -> tuple[int, str]:
+    """Gate one metric moving from old to new; returns (exit code, stdout)."""
+    return compare_output([row(metric, old, unit)], [row(metric, new, unit)])
 
 
 def run_gate(unit: str, old: float, new: float,
@@ -113,6 +122,35 @@ class Directions(unittest.TestCase):
     def test_unknown_unit_fails(self):
         line = self.assertVerdict("furlongs", 1, 1, "FAIL", 1)
         self.assertIn("unknown unit", line)
+
+
+class MissingRows(unittest.TestCase):
+
+    def test_missing_deterministic_row_fails(self):
+        # A bench that stops emitting a gated number must not pass.
+        for unit in ("cycles", "iters", "findings"):
+            with self.subTest(unit=unit):
+                code, out = compare_output(
+                    [row("kept", 1, unit), row("gone", 2, unit)],
+                    [row("kept", 1, unit)])
+                self.assertEqual(code, 1, out)
+                self.assertIn("FAIL  E0/gone: in baseline but missing", out)
+
+    def test_missing_host_row_warns(self):
+        for unit in ("ms", "commits/s"):
+            with self.subTest(unit=unit):
+                code, out = compare_output(
+                    [row("kept", 1, "cycles"), row("gone", 2, unit)],
+                    [row("kept", 1, "cycles")])
+                self.assertEqual(code, 0, out)
+                self.assertIn("warn  E0/gone: in baseline but missing", out)
+
+    def test_new_row_warns(self):
+        code, out = compare_output(
+            [row("kept", 1, "cycles")],
+            [row("kept", 1, "cycles"), row("new", 2, "cycles")])
+        self.assertEqual(code, 0, out)
+        self.assertIn("warn  E0/new: not in baseline", out)
 
 
 if __name__ == "__main__":
