@@ -1,22 +1,24 @@
 // Deterministic discrete-event engine driving the machine simulation.
 //
-// The engine is sharded: every cluster of the simulated machine owns one
-// event-queue shard, plus one "global" shard for host-scheduled events
-// (fault injections, OS launches, anything scheduled from outside the
-// simulation).  Execution proceeds in *phases*: all cluster events inside a
-// virtual-time window [B, B+W) run, then the next phase.  W equals the
-// topology's minimum inter-cluster launch delay, so a message sent during a
-// phase can only be delivered in a later one; the window boundaries are the
-// cadence at which refresh hooks publish globally shared state (the OS
-// load board).  Global events run one at a time between phases.
-//
 // Every event carries a totally-ordered key (time, origin shard, origin
-// sequence), and events execute in key order, so runs are bit-reproducible
-// for every seed.
+// sequence) and waits in one queue, so events execute in key order and
+// runs are bit-reproducible for every seed.  A *shard* is the context an
+// event runs in: each cluster of the simulated machine is one, and one
+// "global" shard runs host-scheduled events (fault injections, OS
+// launches, anything scheduled from outside the simulation).  Events take
+// their sequence numbers from the shard that scheduled them, and kernels
+// number their ids by the shard they run on.
 //
-// Pending actions live in one pool of reused slots; the shard queues order
-// small (key, slot) entries, so scheduling and running an event allocates
-// nothing once the pool and the queues have grown to the run's high water.
+// Execution proceeds in *phases*: all cluster events inside a virtual-time
+// window [B, B+W) run, then the next phase.  W equals the topology's
+// minimum inter-cluster launch delay, so a message sent during a phase can
+// only be delivered in a later one; the window boundaries are the cadence
+// at which refresh hooks publish globally shared state (the OS load board).
+// Global events run one at a time between phases.
+//
+// Pending actions live in one pool of reused slots; the queue orders small
+// (key, shard, slot) entries, so scheduling and running an event allocates
+// nothing once the pool and the queue have grown to the run's high water.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +71,8 @@ class Action {
 };
 
 /// Total order on events.  `shard` and `seq` identify the scheduling
-/// context that created the event (its *origin*), not the queue it sits
-/// in; the pair (shard, seq) is unique because each shard allocates its
+/// context that created the event (its *origin*), not the shard it runs
+/// on; the pair (shard, seq) is unique because each shard allocates its
 /// own monotonic sequence numbers.
 struct EventKey {
   Cycles time = 0;
@@ -96,14 +98,14 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // --- topology ---------------------------------------------------------
-  /// Split the engine into `clusters` cluster shards plus one global
-  /// shard, with window `window` cycles.  Called once by the Machine
-  /// before any event is scheduled.  A window of 0 makes every virtual
-  /// instant its own phase.
+  /// Give the engine `clusters` cluster shards plus one global shard,
+  /// with window `window` cycles.  Called once by the Machine before any
+  /// event is scheduled.  A window of 0 makes every virtual instant its
+  /// own phase.
   void configure(std::uint32_t clusters, Cycles window);
 
   std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
+    return static_cast<std::uint32_t>(next_seq_.size());
   }
   /// The shard host-context events are scheduled on (always the last).
   std::uint32_t global_shard() const { return shard_count() - 1; }
@@ -131,15 +133,15 @@ class Engine {
   void schedule_on(std::uint32_t shard, Cycles time, Action action);
 
   // --- execution --------------------------------------------------------
-  /// Run until the event queues are empty.  Returns events processed.
+  /// Run until the event queue is empty.  Returns events processed.
   std::uint64_t run();
 
-  /// Run until the queues are empty or virtual time would exceed `limit`.
+  /// Run until the queue is empty or virtual time would exceed `limit`.
   std::uint64_t run_until(Cycles limit);
 
-  bool idle() const;
-  std::size_t pending() const;
-  std::uint64_t processed() const;
+  bool idle() const { return queue_.empty(); }
+  std::size_t pending() const { return queue_.size(); }
+  std::uint64_t processed() const { return executed_; }
   /// Size of the action slot pool: the most events ever pending at once.
   std::size_t action_slots() const { return actions_.capacity(); }
 
@@ -150,7 +152,7 @@ class Engine {
   /// observe, not mutate, the simulation.  Pass {} to detach.
   void set_quiescent_hook(Hook hook) { quiescent_hook_ = std::move(hook); }
 
-  /// Invoked when a run() / run_until() drains the queues completely after
+  /// Invoked when a run() / run_until() drains the queue completely after
   /// processing at least one event.  Used to detect simulations that went
   /// idle with live tasks remaining (deadlock / starvation).
   void set_idle_hook(Hook hook) { idle_hook_ = std::move(hook); }
@@ -166,9 +168,11 @@ class Engine {
   void add_refresh_hook(Hook hook);
 
  private:
-  /// A queued event: its key and the pool slot holding its action.
+  /// A queued event: its key, the shard it runs on, and the pool slot
+  /// holding its action.
   struct Entry {
     EventKey key;
+    std::uint32_t shard = 0;
     support::SlotPool<Action>::Slot slot = 0;
   };
   struct Later {
@@ -177,25 +181,22 @@ class Engine {
     }
   };
 
-  struct Shard {
-    std::priority_queue<Entry, std::vector<Entry>, Later> queue;
-    std::uint64_t next_seq = 0;
-    std::uint64_t executed = 0;
-  };
-
   /// The executing event's shard and time.
   struct Context {
     std::uint32_t shard = 0;
     Cycles time = 0;
   };
 
-  /// Pop and execute the next event of `shard` with the proper context.
-  void execute(std::uint32_t shard);
+  /// Pop and execute the first queued event with the proper context.
+  void execute();
   void run_barrier_hooks();
   void fire_refresh_up_to(Cycles next_time);
   void maybe_quiescent(Cycles settled);
 
-  std::vector<Shard> shards_{1};  ///< unconfigured: one (global) shard
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  /// Next sequence number per origin shard; unconfigured: one (global).
+  std::vector<std::uint64_t> next_seq_ = std::vector<std::uint64_t>(1);
+  std::uint64_t executed_ = 0;
   support::SlotPool<Action> actions_;  ///< pending actions, by Entry::slot
   Cycles window_ = 0;
   Cycles host_now_ = 0;    ///< time of the last executed event

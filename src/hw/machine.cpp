@@ -91,9 +91,9 @@ void Machine::send_packet(ClusterId src, ClusterId dst, std::size_t bytes,
     return;
   }
 
-  // Inter-cluster: link lottery, channel contention, then delivery on the
-  // destination's shard.  The launch delay is at least the engine window,
-  // so the delivery lands in a later phase.
+  // Inter-cluster: link lottery, channel contention, then delivery, which
+  // runs in the destination cluster's context.  The launch delay is at
+  // least the engine window, so the delivery lands in a later phase.
   const auto& l = link(src, dst);
   if (l.severed ||
       (l.drop_probability > 0.0 && net_rng_.chance(l.drop_probability))) {

@@ -117,7 +117,7 @@ class Machine {
   template <typename F>
   void occupy(PeId pe, Cycles duration, F on_complete) {
     const std::uint32_t generation = begin_work(pe, duration);
-    // Anchor the completion to the PE's own cluster shard, also when the
+    // Run the completion in the PE's own cluster context, also when the
     // work is dispatched from a global event.
     engine_.schedule_on(pe.cluster.index, now() + duration,
                         [this, pe, generation,

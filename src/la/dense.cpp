@@ -50,13 +50,6 @@ Vector DenseMatrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-Vector DenseMatrix::multiply_transpose(std::span<const double> x) const {
-  FEM2_CHECK(x.size() == rows_);
-  Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) axpy(x[r], row(r), y);
-  return y;
-}
-
 DenseMatrix DenseMatrix::multiply(const DenseMatrix& other) const {
   FEM2_CHECK(cols_ == other.rows_);
   DenseMatrix out(rows_, other.cols_);
@@ -74,12 +67,6 @@ void DenseMatrix::add_scaled(const DenseMatrix& other, double alpha) {
   FEM2_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   for (std::size_t i = 0; i < data_.size(); ++i)
     data_[i] += alpha * other.data_[i];
-}
-
-double DenseMatrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 double DenseMatrix::max_abs() const {

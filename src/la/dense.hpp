@@ -33,12 +33,10 @@ class DenseMatrix {
   DenseMatrix transpose() const;
 
   Vector multiply(std::span<const double> x) const;         ///< A x
-  Vector multiply_transpose(std::span<const double> x) const;  ///< Aᵀ x
   DenseMatrix multiply(const DenseMatrix& other) const;     ///< A B
 
   void add_scaled(const DenseMatrix& other, double alpha);  ///< A += αB
 
-  double frobenius_norm() const;
   double max_abs() const;
 
   bool is_symmetric(double tol = 1e-12) const;

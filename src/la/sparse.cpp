@@ -136,20 +136,6 @@ void CsrMatrix::multiply_rows(std::span<const double> x,
   spmv_rows(pattern_->row_ptr(), pattern_->col_idx(), values_, x, y);
 }
 
-Vector CsrMatrix::multiply_transpose(std::span<const double> x) const {
-  FEM2_CHECK(x.size() == rows());
-  const auto row_ptr = pattern_->row_ptr();
-  const auto col_idx = pattern_->col_idx();
-  Vector y(cols(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
-      y[col_idx[k]] += values_[k] * xr;
-  }
-  return y;
-}
-
 double CsrMatrix::value_at(std::size_t row, std::size_t col) const {
   const std::size_t k = pattern_->find(row, col);
   return k == SparsityPattern::npos ? 0.0 : values_[k];
@@ -195,72 +181,6 @@ bool CsrMatrix::is_symmetric(double tol) const {
 std::size_t CsrMatrix::storage_bytes() const {
   return values_.size() * sizeof(double) +
          (pattern_ ? pattern_->storage_bytes() : 0);
-}
-
-CsrAssembler::CsrAssembler(std::shared_ptr<const SparsityPattern> pattern)
-    : pattern_(std::move(pattern)) {
-  FEM2_CHECK(pattern_ != nullptr);
-  values_.assign(pattern_->nonzeros(), 0.0);
-}
-
-void CsrAssembler::reset() { values_.assign(pattern_->nonzeros(), 0.0); }
-
-void CsrAssembler::add(std::size_t row, std::size_t col, double value) {
-  const std::size_t k = pattern_->find(row, col);
-  FEM2_CHECK(k != SparsityPattern::npos);
-  values_[k] += value;
-}
-
-Vector lower_triangular_solve(const CsrMatrix& a, std::span<const double> b) {
-  FEM2_CHECK(a.rows() == a.cols());
-  FEM2_CHECK(b.size() == a.rows());
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  Vector x(a.rows(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double acc = b[r];
-    double diag = 0.0;
-    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const std::size_t c = col_idx[k];
-      if (c < r) {
-        acc -= values[k] * x[c];
-      } else if (c == r) {
-        diag = values[k];
-        break;  // columns are sorted: nothing below-diagonal remains
-      } else {
-        break;
-      }
-    }
-    FEM2_CHECK(diag != 0.0);
-    x[r] = acc / diag;
-  }
-  return x;
-}
-
-Vector upper_triangular_solve(const CsrMatrix& a, std::span<const double> b) {
-  FEM2_CHECK(a.rows() == a.cols());
-  FEM2_CHECK(b.size() == a.rows());
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t n = a.rows();
-  Vector x(n, 0.0);
-  for (std::size_t ri = n; ri-- > 0;) {
-    double acc = b[ri];
-    double diag = 0.0;
-    for (std::size_t k = row_ptr[ri]; k < row_ptr[ri + 1]; ++k) {
-      const std::size_t c = col_idx[k];
-      if (c > ri) {
-        acc -= values[k] * x[c];
-      } else if (c == ri) {
-        diag = values[k];
-      }
-    }
-    FEM2_CHECK(diag != 0.0);
-    x[ri] = acc / diag;
-  }
-  return x;
 }
 
 }  // namespace fem2::la

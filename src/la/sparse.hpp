@@ -1,12 +1,14 @@
 // Compressed sparse row storage.
 //
-// Two assembly paths feed a CsrMatrix:
+// A CsrMatrix is numeric values over a SparsityPattern (row_ptr / col_idx)
+// held by shared_ptr, so matrices on one pattern copy no index data.  Two
+// paths build one:
+//  * fem::assemble — symbolic, then numeric: a pattern plus a
+//    fem::AssemblyPlan of value offsets per element, then element
+//    contributions scattered straight into the value array.  This is the
+//    MiniFE-style split.
 //  * TripletBuilder — one-shot: accumulate (row, col, value) triplets
 //    (duplicates sum, as element contributions do) and compress.
-//  * SparsityPattern + CsrAssembler — symbolic-then-numeric: the pattern
-//    (row_ptr / col_idx) is built once per mesh and shared between every
-//    numeric fill, so per-step assembly touches only the value array.
-//    This is the MiniFE-style split the FEM assembly pipeline uses.
 #pragma once
 
 #include <cstddef>
@@ -104,8 +106,6 @@ class CsrMatrix {
   /// the kernel CG and the distributed matvec (navm) run per shard.
   void multiply_rows(std::span<const double> x, std::span<double> y) const;
 
-  Vector multiply_transpose(std::span<const double> x) const;  ///< y = Aᵀ x
-
   double value_at(std::size_t row, std::size_t col) const;  ///< 0 if absent
 
   Vector diagonal() const;
@@ -113,9 +113,6 @@ class CsrMatrix {
   DenseMatrix to_dense() const;
 
   const SparsityPattern& pattern() const { return *pattern_; }
-  std::shared_ptr<const SparsityPattern> pattern_ptr() const {
-    return pattern_;
-  }
 
   std::span<const std::size_t> row_ptr() const { return pattern_->row_ptr(); }
   std::span<const std::size_t> col_idx() const { return pattern_->col_idx(); }
@@ -134,41 +131,5 @@ class CsrMatrix {
   std::shared_ptr<const SparsityPattern> pattern_;
   std::vector<double> values_;
 };
-
-/// Numeric assembly over a fixed SparsityPattern: zero the values, scatter
-/// element contributions (accumulating duplicates), take the matrix.
-/// add() binary-searches the row; add_at() scatters by a precomputed
-/// offset (see fem::AssemblyPlan) and is branch-free.
-class CsrAssembler {
- public:
-  explicit CsrAssembler(std::shared_ptr<const SparsityPattern> pattern);
-
-  /// Zero all values for the next numeric pass.
-  void reset();
-
-  void add(std::size_t row, std::size_t col, double value);
-  void add_at(std::size_t offset, double value) { values_[offset] += value; }
-
-  const SparsityPattern& pattern() const { return *pattern_; }
-
-  /// The assembled matrix (shares the pattern; copies the values so the
-  /// assembler can keep filling future steps).
-  CsrMatrix matrix() const { return CsrMatrix(pattern_, values_); }
-
-  /// Move the values out (final step of a single-shot assembly).
-  CsrMatrix take_matrix() { return CsrMatrix(pattern_, std::move(values_)); }
-
- private:
-  std::shared_ptr<const SparsityPattern> pattern_;
-  std::vector<double> values_;
-};
-
-/// Solve L x = b with L the lower-triangular part (diagonal included) of
-/// `a`; entries above the diagonal are ignored.  Requires a nonzero
-/// diagonal.  Building block for Gauss-Seidel-style smoothers.
-Vector lower_triangular_solve(const CsrMatrix& a, std::span<const double> b);
-
-/// Solve U x = b with U the upper-triangular part (diagonal included).
-Vector upper_triangular_solve(const CsrMatrix& a, std::span<const double> b);
 
 }  // namespace fem2::la

@@ -129,7 +129,6 @@ class Server {
  private:
   struct Request {
     std::string line;
-    bool with_retry = false;
     std::promise<appvm::Response> done;
   };
   struct SessionState {

@@ -1,8 +1,5 @@
 #include "support/rng.hpp"
 
-#include <cmath>
-#include <numbers>
-
 #include "support/check.hpp"
 
 namespace fem2::support {
@@ -47,43 +44,11 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  FEM2_CHECK(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next());  // full range
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::uniform() {
   // 53 random bits into [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-double Rng::normal() {
-  if (have_spare_normal_) {
-    have_spare_normal_ = false;
-    return spare_normal_;
-  }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  spare_normal_ = r * std::sin(theta);
-  have_spare_normal_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::exponential(double mean) {
-  FEM2_CHECK(mean > 0.0);
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -mean * std::log(u);
-}
-
-Rng Rng::split() { return Rng(next() ^ 0x9e3779b97f4a7c15ULL); }
 
 }  // namespace fem2::support

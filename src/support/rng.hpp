@@ -43,26 +43,14 @@ class Rng {
   /// Uniform integer in [0, bound) without modulo bias (Lemire reduction).
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform();
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Standard normal via Box–Muller (deterministic given call order).
-  double normal();
-
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
-
-  /// Exponential with given mean (> 0).
-  double exponential(double mean);
-
-  /// Derive an independent child stream (for per-component generators).
-  Rng split();
 
   /// Fisher–Yates shuffle of a vector.
   template <typename T>
@@ -76,8 +64,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool have_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace fem2::support

@@ -1,25 +1,10 @@
 #include "support/strings.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <sstream>
 
 namespace fem2::support {
-
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
 
 std::vector<std::string> split_ws(std::string_view s) {
   std::vector<std::string_view> views;
@@ -42,22 +27,6 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
-  }
-  return true;
 }
 
 std::optional<double> parse_double(std::string_view token) {

@@ -11,9 +11,6 @@
 
 namespace fem2::support {
 
-/// Split on a delimiter; empty fields are kept.
-std::vector<std::string> split(std::string_view s, char delim);
-
 /// Whitespace as C-locale isspace sees it: ' ', '\t', '\n', '\v', '\f', '\r'.
 constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
@@ -24,10 +21,6 @@ std::vector<std::string> split_ws(std::string_view s);
 void split_ws(std::string_view s, std::vector<std::string_view>& out);
 
 std::string_view trim(std::string_view s);
-
-std::string to_lower(std::string_view s);
-
-bool iequals(std::string_view a, std::string_view b);
 
 /// A whole token as a double: std::from_chars general format (fixed or
 /// exponent notation, inf, infinity, nan, nan(...)) after one optional

@@ -5,7 +5,7 @@
 // 16x8 distributed CG solve ("navm.cg.driver", 8 workers, tol 1e-8) on a
 // 4-cluster x 4-PE machine, the perfbench sim_solve workload, and counts
 // the heap allocations made inside navm::Runtime::run() only.  Events,
-// messages and simulated cycles pin the workload; the budget is one
+// phases, messages and simulated cycles pin the workload; the budget is one
 // allocation per event.  Events, packets and payloads keep their values
 // inline or in reused slots, so what remains is container growth and the
 // few values too large for a payload's inline buffer.
@@ -123,6 +123,8 @@ TEST(AllocBudget, DistributedCgRunStaysUnderOneAllocationPerEvent) {
   problem.tolerance = 1e-8;
   const auto task = runtime.launch(navm::kCgDriverTask,
                                    navm::make_cg_problem(std::move(problem)));
+  std::uint64_t phases = 0;
+  machine.engine().add_barrier_hook([&phases] { ++phases; });
 
   g_allocations.store(0);
   g_counting.store(true);
@@ -137,6 +139,7 @@ TEST(AllocBudget, DistributedCgRunStaysUnderOneAllocationPerEvent) {
   EXPECT_EQ(events, 28'257u);
   EXPECT_EQ(machine.metrics().total_messages(), 10'055u);
   EXPECT_EQ(machine.now(), 1'547'306u);
+  EXPECT_EQ(phases, 5'905u);  // window phases and global events
 
   const double per_event =
       static_cast<double>(allocations) / static_cast<double>(events);

@@ -15,6 +15,7 @@
 #include "hw/trace.hpp"
 #include "navm/parops.hpp"
 #include "navm/runtime.hpp"
+#include "run_digest.hpp"
 #include "sysvm/os.hpp"
 
 namespace fem2::hw {
@@ -92,6 +93,79 @@ TEST(Engine, EqualTimesRunInOriginShardOrder) {
   EXPECT_EQ(order,
             (std::vector<std::string>{"from shard 0", "from shard 1"}));
   EXPECT_EQ(engine.now(), 50u);
+}
+
+// The exact interleaving of events and hooks on two clusters with a
+// 100-cycle window: phases end at window boundaries, at pending global
+// events and at the run limit; global events run alone; refresh hooks fire
+// once per crossed boundary before the first event at or past it; barrier
+// hooks follow every phase and global event; the quiescent hook waits
+// until no event remains at the settled time; the idle hook fires once,
+// when the queue drains.
+TEST(Engine, PhasesAndHooksFollowTheWindowSchedule) {
+  Engine engine;
+  engine.configure(2, 100);
+  std::vector<std::string> log;
+  const auto note = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(engine.now()));
+  };
+  const auto event = [&](const std::string& name) {
+    note(name + "/s" + std::to_string(engine.current_shard()));
+  };
+  engine.add_refresh_hook([&] { note("refresh"); });
+  engine.add_barrier_hook([&] { note("barrier"); });
+  engine.set_quiescent_hook([&] { note("quiescent"); });
+  engine.set_idle_hook([&] { note("idle"); });
+
+  const std::uint32_t g = engine.global_shard();
+  engine.schedule_on(0, 10, [&] {
+    event("a");
+    engine.schedule(40, [&] { event("a2"); });  // same shard, same window
+  });
+  engine.schedule_on(1, 20, [&] {
+    event("b");
+    engine.schedule_at(30, [&] { event("b2"); });  // ahead of the global
+  });
+  engine.schedule_at(30, [&] { event("g1"); });  // host context: global
+  engine.schedule_on(0, 40, [&] { event("c"); });
+  engine.schedule_on(1, 250, [&] { event("d"); });  // crosses 100 and 200
+  engine.schedule_on(1, 400, [&] {
+    event("h");
+    engine.schedule_at(450, [&] { event("h2"); });
+  });
+  engine.schedule_on(g, 450, [&] { event("g2"); });
+  engine.schedule_on(g, 500, [&] { event("g3"); });
+  engine.schedule_on(0, 500, [&] { event("f"); });  // after g3 at 500
+  engine.schedule_on(0, 610, [&] { event("i"); });
+  engine.schedule_on(1, 650, [&] { event("j"); });
+
+  EXPECT_EQ(engine.run_until(620), 13u);
+  EXPECT_EQ(engine.now(), 610u);
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "a/s0@10", "b/s1@20", "b2/s1@30", "barrier@30",
+                     "g1/s2@30", "barrier@30", "quiescent@30",
+                     "c/s0@40", "a2/s0@50", "barrier@50", "quiescent@50",
+                     "refresh@50", "refresh@50",
+                     "d/s1@250", "barrier@250", "quiescent@250",
+                     "refresh@250", "refresh@250",
+                     "h/s1@400", "h2/s1@450", "barrier@450",
+                     "g2/s2@450", "barrier@450", "quiescent@450",
+                     "refresh@450",
+                     "g3/s2@500", "barrier@500",
+                     "f/s0@500", "barrier@500", "quiescent@500",
+                     "refresh@500",
+                     "i/s0@610", "barrier@610", "quiescent@610"}));
+
+  log.clear();
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{"j/s1@650", "barrier@650",
+                                           "quiescent@650", "idle@650"}));
+  log.clear();
+  EXPECT_EQ(engine.run(), 0u);  // nothing ran: no idle hook
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(engine.processed(), 14u);
+  EXPECT_TRUE(engine.idle());
 }
 
 // --- Action: the engine's inline-stored callable ----------------------------
@@ -458,10 +532,15 @@ TEST(Machine, QueuePeakTracked) {
 // same analyzer findings and the same tracer event list.  The workload is
 // the full stack — distributed CG solve with the analyzer attached, losing
 // a PE at 25% and a whole cluster at 50% of the fault-free run, on a lossy
-// network with reliable transport.
+// network with reliable transport.  The first run must also match recorded
+// cycles, events, phases and output digest, so that a change in event order
+// which repeats itself from run to run fails too.
 TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
   struct Outcome {
     Cycles elapsed = 0;
+    std::uint64_t events = 0;
+    std::uint64_t phases = 0;
+    std::uint64_t digest = 0;
     std::string machine_dump;
     std::string os_dump;
     std::vector<double> displacements;
@@ -499,6 +578,8 @@ TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
     }
     FaultInjector injector(machine, plan);
     injector.arm();
+    std::uint64_t phases = 0;
+    machine.engine().add_barrier_hook([&phases] { ++phases; });
 
     const auto solution = fem::solve_static_parallel(
         model, "tip-shear", runtime, {.workers = 8, .tolerance = 1e-8});
@@ -507,6 +588,8 @@ TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
 
     Outcome outcome;
     outcome.elapsed = machine.now();
+    outcome.events = machine.engine().processed();
+    outcome.phases = phases;
     outcome.machine_dump = machine.metrics().dump();
     outcome.os_dump = os.stats().dump();
     outcome.displacements = solution.displacements.values;
@@ -514,6 +597,8 @@ TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
       outcome.findings.push_back(finding.rule + "|" + finding.entity + "|" +
                                  finding.message);
     outcome.trace = tracer.events();
+    outcome.digest = test_support::run_digest(
+        outcome.machine_dump, outcome.os_dump, outcome.trace);
     return outcome;
   };
 
@@ -524,6 +609,10 @@ TEST(Determinism, RepeatRunIdenticalUnderFaultPlan) {
   const Cycles kill_cluster_at = probe.elapsed / 2;
 
   const auto first = run(kill_pe_at, kill_cluster_at);
+  EXPECT_EQ(first.elapsed, 3'301'717u);
+  EXPECT_EQ(first.events, 74'380u);
+  EXPECT_EQ(first.phases, 14'686u);
+  EXPECT_EQ(first.digest, 0xb9b4d3ba3c0fba92ull);
   const auto second = run(kill_pe_at, kill_cluster_at);
   EXPECT_EQ(second.elapsed, first.elapsed);
   EXPECT_EQ(second.machine_dump, first.machine_dump);

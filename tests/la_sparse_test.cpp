@@ -1,7 +1,6 @@
-// Property tests for the CSR sparse layer: SpMV, transpose-SpMV, and
-// triangular ops must agree with the dense reference on randomized
-// (seeded, deterministic) matrices, including empty rows, duplicate-entry
-// assembly, and 1×1/rectangular edge cases.
+// Property tests for the CSR sparse layer: SpMV must agree with the dense
+// reference on randomized (seeded, deterministic) matrices, including
+// empty rows, duplicate-entry assembly, and 1×1/rectangular edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -82,21 +81,6 @@ TEST(CsrProperty, SpmvMatchesDense) {
   }
 }
 
-TEST(CsrProperty, TransposeSpmvMatchesDense) {
-  for (const Shape shape : kShapes) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const auto m = random_sparse(shape, 0.4, seed * 1151);
-      support::Rng rng(seed + 17);
-      const Vector x = random_vector(shape.rows, rng);
-      const Vector ys = m.csr.multiply_transpose(x);
-      const Vector yd = m.dense.multiply_transpose(x);
-      ASSERT_EQ(ys.size(), yd.size());
-      for (std::size_t i = 0; i < ys.size(); ++i)
-        EXPECT_NEAR(ys[i], yd[i], 1e-12);
-    }
-  }
-}
-
 TEST(CsrProperty, DuplicateEntryAssemblySums) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto m = random_sparse({9, 9}, 0.5, seed * 313, true);
@@ -114,8 +98,6 @@ TEST(CsrProperty, EmptyRowsAndColumns) {
   EXPECT_EQ(m.nonzeros(), 1u);
   const Vector y = m.multiply(Vector(6, 1.0));
   EXPECT_EQ(y, (Vector{0.0, 0.0, 4.5, 0.0, 0.0}));
-  const Vector yt = m.multiply_transpose(Vector(5, 2.0));
-  EXPECT_DOUBLE_EQ(yt[3], 9.0);
   // Pattern row_ptr reflects the empty rows.
   EXPECT_EQ(m.row_ptr()[0], 0u);
   EXPECT_EQ(m.row_ptr()[2], 0u);
@@ -128,59 +110,6 @@ TEST(CsrProperty, OneByOne) {
   b.add(0, 0, 3.0);
   const CsrMatrix m = b.build();
   EXPECT_EQ(m.multiply(Vector{2.0}), (Vector{6.0}));
-  EXPECT_EQ(m.multiply_transpose(Vector{2.0}), (Vector{6.0}));
-  EXPECT_EQ(lower_triangular_solve(m, Vector{6.0}), (Vector{2.0}));
-  EXPECT_EQ(upper_triangular_solve(m, Vector{6.0}), (Vector{2.0}));
-}
-
-/// Triangular solves agree with the dense reference: build L (or U) from a
-/// diagonally-shifted random square matrix, compute b = T·x_ref densely,
-/// solve, compare.
-TEST(CsrProperty, TriangularSolvesMatchDense) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const std::size_t n = 11;
-    const auto m = random_sparse({n, n}, 0.4, seed * 421);
-    support::Rng rng(seed + 99);
-    const Vector x_ref = random_vector(n, rng);
-
-    for (const bool lower : {true, false}) {
-      DenseMatrix t(n, n);
-      TripletBuilder tb(n, n);
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-          const bool keep = lower ? c < r : c > r;
-          if (keep && m.dense(r, c) != 0.0) {
-            t(r, c) = m.dense(r, c);
-            tb.add(r, c, m.dense(r, c));
-          }
-        }
-        t(r, r) = static_cast<double>(n);  // safely nonsingular diagonal
-        tb.add(r, r, static_cast<double>(n));
-      }
-      const CsrMatrix tri = tb.build();
-      const Vector b = t.multiply(x_ref);
-      const Vector x =
-          lower ? lower_triangular_solve(tri, b) : upper_triangular_solve(tri, b);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-10);
-    }
-  }
-}
-
-/// The triangular solves ignore entries on the wrong side of the diagonal,
-/// so passing the full matrix uses only its lower/upper part.
-TEST(CsrProperty, TriangularSolveIgnoresOtherTriangle) {
-  TripletBuilder b(2, 2);
-  b.add(0, 0, 2.0);
-  b.add(0, 1, 7.0);  // ignored by lower solve
-  b.add(1, 0, 1.0);
-  b.add(1, 1, 4.0);
-  const CsrMatrix m = b.build();
-  const Vector x = lower_triangular_solve(m, Vector{2.0, 9.0});
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
-  const Vector xu = upper_triangular_solve(m, Vector{16.0, 8.0});
-  EXPECT_DOUBLE_EQ(xu[1], 2.0);
-  EXPECT_DOUBLE_EQ(xu[0], 1.0);
 }
 
 TEST(SparsityPattern, FromPairsDeduplicatesAndFinds) {
@@ -193,61 +122,6 @@ TEST(SparsityPattern, FromPairsDeduplicatesAndFinds) {
   EXPECT_NE(p.find(1, 2), SparsityPattern::npos);
   EXPECT_EQ(p.find(0, 1), SparsityPattern::npos);
   EXPECT_EQ(p.find(2, 2), SparsityPattern::npos);
-}
-
-TEST(SparsityPattern, AssemblerMatchesTripletBuilder) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    support::Rng rng(seed * 733);
-    const std::size_t n = 10;
-    std::vector<Triplet> triplets;
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (std::size_t e = 0; e < 40; ++e) {
-      const auto r = static_cast<std::size_t>(rng.next_below(n));
-      const auto c = static_cast<std::size_t>(rng.next_below(n));
-      triplets.push_back({r, c, rng.uniform(-1.0, 1.0)});
-      pairs.emplace_back(r, c);
-    }
-
-    TripletBuilder builder(n, n);
-    for (const auto& t : triplets) builder.add(t.row, t.col, t.value);
-    const CsrMatrix reference = builder.build();
-
-    auto pattern = std::make_shared<SparsityPattern>(
-        SparsityPattern::from_pairs(n, n, pairs));
-    CsrAssembler assembler(pattern);
-    for (const auto& t : triplets) assembler.add(t.row, t.col, t.value);
-    const CsrMatrix assembled = assembler.matrix();
-
-    // Same values everywhere (the assembler keeps structural entries that
-    // TripletBuilder would drop if they summed to zero — compare values).
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c)
-        EXPECT_NEAR(assembled.value_at(r, c), reference.value_at(r, c), 1e-13);
-
-    // Numeric refill over the same pattern: reset + scaled re-add.
-    assembler.reset();
-    for (const auto& t : triplets) assembler.add(t.row, t.col, 2.0 * t.value);
-    const CsrMatrix doubled = assembler.matrix();
-    EXPECT_EQ(doubled.pattern_ptr().get(), assembled.pattern_ptr().get());
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c)
-        EXPECT_NEAR(doubled.value_at(r, c), 2.0 * assembled.value_at(r, c),
-                    1e-13);
-  }
-}
-
-TEST(SparsityPattern, AddAtScattersByOffset) {
-  auto pattern = std::make_shared<SparsityPattern>(SparsityPattern::from_pairs(
-      2, 2, {{0, 0}, {0, 1}, {1, 1}}));
-  CsrAssembler assembler(pattern);
-  assembler.add_at(pattern->find(0, 1), 5.0);
-  assembler.add_at(pattern->find(0, 1), 2.5);
-  assembler.add_at(pattern->find(1, 1), 1.0);
-  const CsrMatrix m = assembler.matrix();
-  EXPECT_DOUBLE_EQ(m.value_at(0, 1), 7.5);
-  EXPECT_DOUBLE_EQ(m.value_at(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(m.value_at(0, 0), 0.0);  // structural zero retained
-  EXPECT_EQ(m.nonzeros(), 3u);
 }
 
 TEST(VecOpsKernels, XpayAndHadamard) {

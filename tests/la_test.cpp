@@ -75,8 +75,6 @@ TEST(Dense, MultiplyAndTranspose) {
   a(1, 0) = 4; a(1, 1) = 5; a(1, 2) = 6;
   const auto y = a.multiply(Vector{1, 1, 1});
   EXPECT_EQ(y, (Vector{6, 15}));
-  const auto yt = a.multiply_transpose(Vector{1, 1});
-  EXPECT_EQ(yt, (Vector{5, 7, 9}));
   const auto at = a.transpose();
   EXPECT_EQ(at.rows(), 3u);
   EXPECT_DOUBLE_EQ(at(2, 1), 6.0);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "analyze/analyzer.hpp"
 #include "fem/mesh.hpp"
@@ -15,6 +17,7 @@
 #include "hw/trace.hpp"
 #include "navm/parops.hpp"
 #include "navm/runtime.hpp"
+#include "run_digest.hpp"
 #include "support/check.hpp"
 #include "sysvm/os.hpp"
 
@@ -228,8 +231,21 @@ TEST(LatencyHistogram, MachineRecordsDeliveries) {
 // Bitwise determinism for every topology: the same distributed solve run
 // twice must produce byte-identical machine metrics dumps (which include
 // the latency histogram) and OS stats dumps, bit-identical displacements,
-// the same analyzer findings and the same tracer event list.
+// the same analyzer findings and the same tracer event list.  The first
+// run must also match recorded cycles, events, phases and output digest.
 TEST(TopologyDeterminism, RepeatRunBitwiseIdenticalForEveryKind) {
+  struct Recorded {
+    Cycles elapsed;
+    std::uint64_t events;
+    std::uint64_t phases;
+    std::uint64_t digest;
+  };
+  const std::map<std::string, Recorded> recorded = {
+      {"flat", {1'669'206, 25'365, 7'543, 0x17eafb91e18cf4aeull}},
+      {"fattree", {1'790'068, 25'365, 10'579, 0xb1d9db2beb2c86f8ull}},
+      {"rotor", {1'955'242, 25'365, 10'194, 0x12256d9533bef048ull}},
+      {"degraded", {1'982'395, 25'365, 8'643, 0x9ec6da5bcc56b50full}},
+  };
   fem::PlateMeshOptions mesh;
   mesh.nx = 12;
   mesh.ny = 6;
@@ -243,6 +259,9 @@ TEST(TopologyDeterminism, RepeatRunBitwiseIdenticalForEveryKind) {
 
     struct Outcome {
       Cycles elapsed = 0;
+      std::uint64_t events = 0;
+      std::uint64_t phases = 0;
+      std::uint64_t digest = 0;
       std::string machine_dump;
       std::string os_dump;
       std::vector<double> displacements;
@@ -257,12 +276,16 @@ TEST(TopologyDeterminism, RepeatRunBitwiseIdenticalForEveryKind) {
       navm::Runtime runtime(os);
       navm::register_parallel_ops(runtime);
       analyze::Analyzer analyzer(runtime);
+      std::uint64_t phases = 0;
+      machine.engine().add_barrier_hook([&phases] { ++phases; });
       const auto solution = fem::solve_static_parallel(
           model, "tip-shear", runtime, {.workers = 8, .tolerance = 1e-8});
       analyzer.check_now();
       EXPECT_EQ(tracer.dropped(), 0u) << "topology=" << kind;
       Outcome outcome;
       outcome.elapsed = machine.now();
+      outcome.events = machine.engine().processed();
+      outcome.phases = phases;
       outcome.machine_dump = machine.metrics().dump();
       outcome.os_dump = os.stats().dump();
       outcome.displacements = solution.displacements.values;
@@ -270,11 +293,18 @@ TEST(TopologyDeterminism, RepeatRunBitwiseIdenticalForEveryKind) {
         outcome.findings.push_back(finding.rule + "|" + finding.entity +
                                    "|" + finding.message);
       outcome.trace = tracer.events();
+      outcome.digest = test_support::run_digest(
+          outcome.machine_dump, outcome.os_dump, outcome.trace);
       return outcome;
     };
 
     const auto first = run();
     ASSERT_GT(first.elapsed, 0u) << "topology=" << kind;
+    const Recorded& pinned = recorded.at(kind);
+    EXPECT_EQ(first.elapsed, pinned.elapsed) << "topology=" << kind;
+    EXPECT_EQ(first.events, pinned.events) << "topology=" << kind;
+    EXPECT_EQ(first.phases, pinned.phases) << "topology=" << kind;
+    EXPECT_EQ(first.digest, pinned.digest) << "topology=" << kind;
     const auto second = run();
     EXPECT_EQ(second.elapsed, first.elapsed) << "topology=" << kind;
     EXPECT_EQ(second.machine_dump, first.machine_dump)

@@ -27,10 +27,14 @@ Policy, matching the determinism story of the simulator:
     so the gate cannot judge it.
   * a baseline metric absent from the current report FAILS when its unit
     is deterministic: a bench that silently stops emitting a gated number
-    would otherwise pass, which is how coverage rots.  Drop a row on
-    purpose by removing it from the baseline in the same change.  Missing
-    host-unit rows only WARN, as does a current metric absent from the
-    baseline (new bench / new row — run --update to adopt it).
+    would otherwise pass, which is how coverage rots.  A whole report
+    absent while its baseline entry holds a deterministic row FAILS for
+    the same reason (a bench dropped from `ctest -L bench` takes all its
+    gated rows with it).  Drop a row or an experiment on purpose by
+    removing it from the baseline in the same change.  Missing host-unit
+    rows, and missing reports whose baseline rows all have host units,
+    only WARN, as does a current metric absent from the baseline (new
+    bench / new row — run --update to adopt it).
   * a malformed report (unparsable JSON, wrong shape) or an empty one
     (no rows) FAILS: a bench that crashed mid-write or emitted nothing
     must not pass the gate by accident.
@@ -150,8 +154,15 @@ def compare(reports: dict[str, dict], baseline: dict[str, dict],
                 print(f"note  {experiment}/{metric}: {old:g} -> {new:g} "
                       f"{unit} ({text}, deterministic row changed)")
     for experiment in sorted(baseline.keys() - reports.keys()):
-        print(f"warn  {experiment}: in baseline but no current report")
-        warnings += 1
+        gated = sum(row.get("unit", "") in DETERMINISTIC_UNITS
+                    for row in baseline[experiment].get("rows", []))
+        if gated:
+            print(f"FAIL  {experiment}: in baseline but no current report "
+                  f"(deterministic rows unchecked: {gated})")
+            failures += 1
+        else:
+            print(f"warn  {experiment}: in baseline but no current report")
+            warnings += 1
     return failures, warnings, changed
 
 

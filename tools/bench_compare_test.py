@@ -23,18 +23,26 @@ def row(metric: str, value: float, unit: str) -> dict:
     return {"metric": metric, "value": value, "unit": unit}
 
 
-def compare_output(base_rows: list[dict],
-                   current_rows: list[dict]) -> tuple[int, str]:
-    """Gate one E0 report against one E0 baseline; (exit code, stdout)."""
+def compare_output(base_rows: list[dict], current_rows: list[dict],
+                   unreported: dict[str, list[dict]] | None = None,
+                   args: tuple[str, ...] = ()) -> tuple[int, str]:
+    """Gate one E0 report against one E0 baseline; (exit code, stdout).
+
+    `unreported` adds baseline entries (experiment -> rows) that have no
+    current report.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         report = {"experiment": "E0", "host_wall_ms": 1, "rows": current_rows}
         baseline = {"E0": dict(report, rows=base_rows)}
+        for experiment, rows in (unreported or {}).items():
+            baseline[experiment] = dict(report, experiment=experiment,
+                                        rows=rows)
         (root / "BENCH_E0.json").write_text(json.dumps(report))
         (root / "baseline.json").write_text(json.dumps(baseline))
         proc = subprocess.run(
             [sys.executable, str(SCRIPT), str(root),
-             "--baseline", str(root / "baseline.json")],
+             "--baseline", str(root / "baseline.json"), *args],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     return proc.returncode, proc.stdout
 
@@ -144,6 +152,29 @@ class MissingRows(unittest.TestCase):
                     [row("kept", 1, "cycles")])
                 self.assertEqual(code, 0, out)
                 self.assertIn("warn  E0/gone: in baseline but missing", out)
+
+    def test_missing_report_with_gated_rows_fails(self):
+        # Dropping a bench from the harness drops every row it gated.
+        kept = [row("kept", 1, "cycles")]
+        code, out = compare_output(
+            kept, kept, {"E9": [row("t", 3, "ms"), row("c", 4, "msgs")]})
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL  E9: in baseline but no current report "
+                      "(deterministic rows unchecked: 1)", out)
+
+    def test_missing_report_with_host_rows_only_warns(self):
+        kept = [row("kept", 1, "cycles")]
+        code, out = compare_output(
+            kept, kept, {"E9": [row("t", 3, "ms"), row("r", 2, "x")]})
+        self.assertEqual(code, 0, out)
+        self.assertIn("warn  E9: in baseline but no current report", out)
+
+    def test_only_skips_unrequested_reports(self):
+        kept = [row("kept", 1, "cycles")]
+        code, out = compare_output(
+            kept, kept, {"E9": [row("c", 4, "msgs")]}, ("--only", "E0"))
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("E9", out)
 
     def test_new_row_warns(self):
         code, out = compare_output(
