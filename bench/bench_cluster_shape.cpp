@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
                "single monolithic cluster is fastest for one\njob in "
                "simulation — but only because a 64-PE shared memory is "
                "assumed buildable;\nmoderate clusters (8x8, 16x4) come "
-               "within ~3%% of it while keeping per-memory\narity, fault "
+               "within ~3% of it while keeping per-memory\narity, fault "
                "isolation (E5) and extensibility realistic — the "
                "organization the\npaper proposes.  Placement ablation: "
                "spreading policies trade network traffic\nfor balance; "

@@ -12,6 +12,11 @@ namespace {
 
 constexpr char kMagic[8] = {'F', '2', 'D', 'B', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kFormatVersion = 1;
+// The smallest encodings of a chain (empty name, version count) and of a
+// version (revision, deleted flag, txn, empty kind and value).  A count is
+// only believed if the bytes left could hold that many records.
+constexpr std::size_t kMinChainBytes = 4 + 8;
+constexpr std::size_t kMinVersionBytes = 8 + 1 + 8 + 4 + 4;
 
 std::string encode(const SnapshotData& data) {
   // Header, payload and CRC trailer go into one buffer sized up front: a
@@ -60,7 +65,8 @@ SnapshotData decode(std::string_view bytes, const std::string& path) {
   if (!cursor.read_u32(version) || !cursor.read_u64(payload_bytes))
     throw corrupt("truncated header");
   if (version != kFormatVersion) throw corrupt("unknown format version");
-  if (cursor.remaining() < payload_bytes + 4) throw corrupt("truncated body");
+  if (cursor.remaining() < 4 || cursor.remaining() - 4 < payload_bytes)
+    throw corrupt("truncated body");
   const std::string_view payload =
       bytes.substr(sizeof kMagic + 12, payload_bytes);
 
@@ -74,11 +80,15 @@ SnapshotData decode(std::string_view bytes, const std::string& path) {
   std::uint64_t chain_count = 0;
   if (!body.read_u64(data.next_txn) || !body.read_u64(chain_count))
     throw corrupt("truncated payload");
+  if (chain_count > body.remaining() / kMinChainBytes)
+    throw corrupt("chain count exceeds the payload");
   data.chains.resize(chain_count);
   for (auto& chain : data.chains) {
     std::uint64_t version_count = 0;
     if (!body.read_string(chain.name) || !body.read_u64(version_count))
       throw corrupt("truncated chain");
+    if (version_count > body.remaining() / kMinVersionBytes)
+      throw corrupt("version count exceeds the payload");
     chain.versions.resize(version_count);
     for (auto& v : chain.versions) {
       std::uint8_t deleted = 0;

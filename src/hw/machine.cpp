@@ -143,9 +143,7 @@ std::optional<Packet> Machine::pop_packet(ClusterId cluster) {
   check_cluster(cluster);
   auto& q = clusters_[cluster.index].queue;
   if (q.empty()) return std::nullopt;
-  Packet p = std::move(q.front());
-  q.pop_front();
-  return p;
+  return q.pop_front();
 }
 
 std::size_t Machine::queue_depth(ClusterId cluster) const {
@@ -315,8 +313,7 @@ void Machine::handle_cluster_death(ClusterId cluster) {
   failed_clusters_ += 1;
   // Purge everything that lived in the cluster: undecoded input packets and
   // the shared memory's contents die with the hardware.
-  for (const Packet& p : cl.queue) drop_packet(p);
-  cl.queue.clear();
+  while (!cl.queue.empty()) drop_packet(cl.queue.pop_front());
   cl.memory_in_use = 0;
   metrics_.clusters[cluster.index].memory_in_use = 0;
   record_trace({now(), TraceKind::ClusterFailed, cluster, 0xffffffffu, 0});

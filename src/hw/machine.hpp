@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "hw/metrics.hpp"
 #include "hw/trace.hpp"
 #include "support/check.hpp"
+#include "support/fifo.hpp"
 #include "support/rng.hpp"
 
 namespace fem2::hw {
@@ -177,7 +177,7 @@ class Machine {
   };
 
   struct ClusterSlot {
-    std::deque<Packet> queue;
+    support::Fifo<Packet> queue;
     Cycles memory_port_free_at = 0;  ///< shared-memory port serialization
     std::size_t memory_in_use = 0;
     bool lost = false;  ///< cluster-lost handler already fired

@@ -1,7 +1,7 @@
 #include "la/dense.hpp"
 
 #include <cmath>
-#include <sstream>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -81,18 +81,6 @@ bool DenseMatrix::is_symmetric(double tol) const {
     for (std::size_t c = r + 1; c < cols_; ++c)
       if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
   return true;
-}
-
-std::string DenseMatrix::to_string(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << "[";
-    for (std::size_t c = 0; c < cols_; ++c)
-      os << (c ? " " : "") << (*this)(r, c);
-    os << "]\n";
-  }
-  return os.str();
 }
 
 LuFactorization::LuFactorization(DenseMatrix a) : lu_(std::move(a)) {

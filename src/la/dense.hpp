@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "la/vec_ops.hpp"
@@ -40,8 +39,6 @@ class DenseMatrix {
   double max_abs() const;
 
   bool is_symmetric(double tol = 1e-12) const;
-
-  std::string to_string(int precision = 4) const;
 
  private:
   std::size_t rows_ = 0;

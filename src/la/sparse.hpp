@@ -75,7 +75,6 @@ class TripletBuilder {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  std::size_t entries() const { return triplets_.size(); }
 
   /// Compress into CSR: duplicates summed, explicit zeros dropped.
   CsrMatrix build() const;

@@ -103,16 +103,19 @@ struct CgPart {
   double value2 = 0.0;  ///< second reduction riding the same deposit (r·z)
 };
 
-/// Index-ordered sums of (value, value2) over the deposited parts.
+/// Index-ordered sums of (value, value2) over the deposited parts, which
+/// carry the indices 0..k-1 once each.  Finding each index by a scan costs
+/// k² compares for a handful of workers and allocates nothing.
 std::pair<double, double> sum_indexed(const std::vector<sysvm::Payload>& parts) {
-  std::vector<CgPart> ps;
-  ps.reserve(parts.size());
-  for (const auto& part : parts) ps.push_back(part.as<CgPart>());
-  std::sort(ps.begin(), ps.end(),
-            [](const CgPart& a, const CgPart& b) { return a.index < b.index; });
   double sum = 0.0;
   double sum2 = 0.0;
-  for (const auto& p : ps) {
+  for (std::uint32_t index = 0; index < parts.size(); ++index) {
+    const auto part = std::find_if(
+        parts.begin(), parts.end(), [index](const sysvm::Payload& p) {
+          return p.as<CgPart>().index == index;
+        });
+    FEM2_CHECK_MSG(part != parts.end(), "missing reduction part");
+    const auto& p = part->as<CgPart>();
     sum += p.value;
     sum2 += p.value2;
   }
@@ -271,10 +274,9 @@ Coro cg_worker_body(TaskContext& ctx) {
               p_full.begin() + static_cast<std::ptrdiff_t>(wp.row0));
     ctx.charge_words(len);
     for (const auto& ov : remote_overlaps) {
-      const std::vector<double> seg = co_await ctx.read(
-          setup.p_windows[ov.peer].range(ov.begin, ov.count));
-      std::copy(seg.begin(), seg.end(),
-                p_full.begin() + static_cast<std::ptrdiff_t>(ov.global_begin));
+      co_await ctx.read_into(
+          setup.p_windows[ov.peer].range(ov.begin, ov.count),
+          std::span(p_full).subspan(ov.global_begin, ov.count));
     }
     wp.shard.multiply_rows(p_full, q);
     ctx.charge_flops(2 * wp.shard.nonzeros());

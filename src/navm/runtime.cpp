@@ -1,5 +1,8 @@
 #include "navm/runtime.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 namespace fem2::navm {
 
 Runtime::Runtime(sysvm::Os& os) : os_(os) {
@@ -120,19 +123,30 @@ hw::ClusterId Runtime::window_cluster(const Window& window) const {
 }
 
 std::vector<double> Runtime::gather(const Window& window) const {
+  std::vector<double> out(window.elements());
+  gather_into(window, out);
+  return out;
+}
+
+void Runtime::gather_into(const Window& window, std::span<double> out) const {
   if (observer_ != nullptr) observer_->on_array_read(window);
   const ArrayInfo& info = array_info(window.array);
   FEM2_CHECK_MSG(window.row0 + window.rows <= info.rows &&
                      window.col0 + window.cols <= info.cols,
                  "window exceeds array bounds");
-  std::vector<double> out;
-  out.reserve(window.elements());
+  FEM2_CHECK_MSG(out.size() == window.elements(),
+                 "gather buffer does not match the window");
   for (std::size_t r = 0; r < window.rows; ++r) {
-    const std::size_t base = (window.row0 + r) * info.cols + window.col0;
-    out.insert(out.end(), info.data.begin() + static_cast<std::ptrdiff_t>(base),
-               info.data.begin() + static_cast<std::ptrdiff_t>(base + window.cols));
+    const auto row = info.data.begin() + static_cast<std::ptrdiff_t>(
+                                             (window.row0 + r) * info.cols +
+                                             window.col0);
+    std::copy(row, row + static_cast<std::ptrdiff_t>(window.cols),
+              out.begin() + static_cast<std::ptrdiff_t>(r * window.cols));
   }
-  return out;
+}
+
+void Runtime::recycle_read_buffer(std::vector<double> buffer) {
+  read_buffers_.push_back(std::move(buffer));
 }
 
 void Runtime::note_remote_window_wait(const Window& window, hw::Cycles wait) {
@@ -158,6 +172,7 @@ std::uint64_t Runtime::make_collector(TaskContext& ctx, std::size_t expected) {
   c.expected = expected;
   c.owner = ctx.self();
   c.cluster = ctx.cluster();
+  c.items.reserve(expected);
   const std::uint64_t id = make_collector_id();
   collectors_.emplace(id, std::move(c));
   return id;
@@ -175,8 +190,11 @@ std::vector<sysvm::Payload> Runtime::collector_take(std::uint64_t id) {
   auto& c = it->second;
   FEM2_CHECK_MSG(c.items.size() >= c.expected, "collector not full");
   if (observer_ != nullptr) observer_->on_collector_take(id, c.owner);
-  std::vector<sysvm::Payload> out = std::move(c.items);
-  c.items.clear();  // auto-reset for the next phase
+  // One exact allocation for the taker; `items` keeps its capacity for the
+  // next phase (auto-reset).
+  std::vector<sysvm::Payload> out(std::make_move_iterator(c.items.begin()),
+                                  std::make_move_iterator(c.items.end()));
+  c.items.clear();
   c.waiting_token = 0;
   return out;
 }
@@ -223,7 +241,14 @@ sysvm::Payload Runtime::procedure_window_read(sysvm::ProcedureContext& ctx,
   FEM2_CHECK_MSG(window_cluster(window) == ctx.cluster,
                  "window read routed to the wrong cluster");
   ctx.charge_words(window.elements());
-  return payload_reals(gather(window));
+  std::vector<double> data;
+  if (!read_buffers_.empty()) {
+    data = std::move(read_buffers_.back());
+    read_buffers_.pop_back();
+  }
+  data.resize(window.elements());
+  gather_into(window, data);
+  return payload_reals(std::move(data));
 }
 
 sysvm::Payload Runtime::procedure_window_write(sysvm::ProcedureContext& ctx,
@@ -234,6 +259,25 @@ sysvm::Payload Runtime::procedure_window_write(sysvm::ProcedureContext& ctx,
   ctx.charge_words(wa.window.elements());
   scatter(wa.window, wa.data);
   return sysvm::Payload{};
+}
+
+bool Runtime::DepositLog::accept(std::uint64_t token) {
+  if (token <= through) return false;
+  const auto at = std::lower_bound(ahead.begin(), ahead.end(), token);
+  if (at != ahead.end() && *at == token) return false;
+  if (token != through + 1) {
+    ahead.insert(at, token);
+    return true;
+  }
+  // `token` closes the gap below `ahead`'s run of consecutive tokens.
+  through = token;
+  auto run = ahead.begin();
+  while (run != ahead.end() && *run == through + 1) {
+    ++through;
+    ++run;
+  }
+  ahead.erase(ahead.begin(), run);
+  return true;
 }
 
 sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
@@ -252,13 +296,17 @@ sysvm::Payload Runtime::procedure_collect(sysvm::ProcedureContext& ctx,
   FEM2_CHECK_MSG(c.cluster == ctx.cluster,
                  "deposit routed to the wrong cluster");
   ctx.charge_words(4);  // bookkeeping
-  if (da.token != 0 &&
-      !c.seen.emplace(da.depositor, da.token).second) {
+  if (da.token != 0) {
+    auto log = std::lower_bound(
+        c.seen.begin(), c.seen.end(), ctx.caller,
+        [](const DepositLog& l, sysvm::TaskId d) { return l.depositor < d; });
+    if (log == c.seen.end() || log->depositor != ctx.caller)
+      log = c.seen.insert(log, DepositLog{ctx.caller, 0, {}});
     // A re-initiated depositor replayed a deposit that was already
     // accepted from its previous incarnation; count it once.
-    return sysvm::Payload{};
+    if (!log->accept(da.token)) return sysvm::Payload{};
   }
-  if (observer_ != nullptr) observer_->on_deposit(da.collector, da.depositor);
+  if (observer_ != nullptr) observer_->on_deposit(da.collector, ctx.caller);
   c.items.push_back(da.value);
   if (c.items.size() >= c.expected && c.waiting_token != 0) {
     // Wake the waiting task with a local remote-return.

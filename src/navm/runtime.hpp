@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,14 +23,13 @@ struct WriteArgs {
   std::vector<double> data;
 };
 
-/// Arguments of the built-in "navm.collect" procedure.  `depositor` and
-/// `token` identify the deposit so re-initiated depositors (cluster-loss
-/// recovery can replay a task from its initiate parameters) cannot double
-/// count: a (depositor, token) pair is accepted at most once per collector.
-/// Token 0 opts out of deduplication.
+/// Arguments of the built-in "navm.collect" procedure.  The depositor (the
+/// call's caller) and `token` identify the deposit so re-initiated
+/// depositors (cluster-loss recovery can replay a task from its initiate
+/// parameters) cannot double count: a (depositor, token) pair is accepted
+/// at most once per collector.  Token 0 opts out of deduplication.
 struct DepositArgs {
   std::uint64_t collector = 0;
-  sysvm::TaskId depositor = sysvm::kNoTask;
   std::uint64_t token = 0;
   sysvm::Payload value;
 };
@@ -128,7 +126,14 @@ class Runtime {
   hw::ClusterId window_cluster(const Window& window) const;
 
   std::vector<double> gather(const Window& window) const;
+  /// gather() into `out`, which holds window.elements() values.
+  void gather_into(const Window& window, std::span<double> out) const;
   void scatter(const Window& window, std::span<const double> data);
+
+  /// Hand back the buffer of a remote window read's reply (read_into()
+  /// does, once it has copied the data out); the owner's next reply
+  /// reuses it.
+  void recycle_read_buffer(std::vector<double> buffer);
 
   /// Report a completed remote window round trip to the observer (called
   /// by the read/write awaitables when they resume after a remote call).
@@ -161,15 +166,29 @@ class Runtime {
   std::vector<CollectorInfo> collector_infos() const;
 
  private:
+  /// The tokens one depositor has had accepted by a collector: every
+  /// token up to `through`, plus the larger ones that arrived early, in
+  /// ascending order.  Tokens that rise by one keep `ahead` empty, so the
+  /// log stays this size however long the run and however large a token.
+  struct DepositLog {
+    sysvm::TaskId depositor = sysvm::kNoTask;
+    std::uint64_t through = 0;
+    std::vector<std::uint64_t> ahead;
+
+    /// Record nonzero `token`; false if it was accepted before.
+    bool accept(std::uint64_t token);
+  };
+
   struct Collector {
     std::size_t expected = 0;
     sysvm::TaskId owner = sysvm::kNoTask;
     hw::ClusterId cluster;
-    std::vector<sysvm::Payload> items;
+    std::vector<sysvm::Payload> items;  ///< reserved for `expected`
     sysvm::CallToken waiting_token = 0;
-    /// Deposits already accepted, across auto-resets: a re-initiated
-    /// depositor replaying an old round must not fill a later round.
-    std::set<std::pair<sysvm::TaskId, std::uint64_t>> seen;
+    /// Deposits already accepted, across auto-resets, one log per
+    /// depositor in depositor order: a re-initiated depositor replaying an
+    /// old round must not fill a later round.
+    std::vector<DepositLog> seen;
   };
 
   void register_builtin_procedures();
@@ -189,6 +208,7 @@ class Runtime {
   sysvm::Os& os_;
   std::map<ArrayId, ArrayInfo> arrays_;
   std::map<std::uint64_t, Collector> collectors_;
+  std::vector<std::vector<double>> read_buffers_;  ///< recycled replies
   std::vector<std::uint64_t> next_array_;      ///< one counter per shard
   std::vector<std::uint64_t> next_collector_;  ///< one counter per shard
   RuntimeObserver* observer_ = nullptr;

@@ -1,5 +1,7 @@
 #include "navm/task.hpp"
 
+#include <algorithm>
+
 #include "navm/runtime.hpp"
 
 namespace fem2::navm {
@@ -42,14 +44,19 @@ bool TaskContext::ReadAwait::await_ready() {
   return false;
 }
 
-void TaskContext::ReadAwait::await_suspend(std::coroutine_handle<>) {
-  const auto destination = ctx.runtime().window_cluster(window);
-  issued_at = ctx.runtime().os().machine().now();
-  const auto token = ctx.api_.remote_call(
+void TaskContext::block_on_window_read(const Window& window,
+                                       hw::Cycles& issued_at) {
+  const auto destination = runtime().window_cluster(window);
+  issued_at = runtime().os().machine().now();
+  const auto token = api_.remote_call(
       destination, "navm.win.read",
       sysvm::Payload::of(window, Window::kDescriptorBytes));
-  ctx.api_.block_on_reply(token);
-  ctx.suspend_kind_ = SuspendKind::Blocked;
+  api_.block_on_reply(token);
+  suspend_kind_ = SuspendKind::Blocked;
+}
+
+void TaskContext::ReadAwait::await_suspend(std::coroutine_handle<>) {
+  ctx.block_on_window_read(window, issued_at);
 }
 
 std::vector<double> TaskContext::ReadAwait::await_resume() {
@@ -57,6 +64,33 @@ std::vector<double> TaskContext::ReadAwait::await_resume() {
   ctx.runtime().note_remote_window_wait(
       window, ctx.runtime().os().machine().now() - issued_at);
   return std::move(ctx.wake_).take<std::vector<double>>();
+}
+
+// --- ReadIntoAwait ------------------------------------------------------------
+
+bool TaskContext::ReadIntoAwait::await_ready() {
+  if (ctx.window_is_local(window)) {
+    is_local = true;
+    ctx.charge_words(window.elements());
+    ctx.runtime().gather_into(window, out);
+    return true;
+  }
+  return false;
+}
+
+void TaskContext::ReadIntoAwait::await_suspend(std::coroutine_handle<>) {
+  ctx.block_on_window_read(window, issued_at);
+}
+
+void TaskContext::ReadIntoAwait::await_resume() {
+  if (is_local) return;
+  ctx.runtime().note_remote_window_wait(
+      window, ctx.runtime().os().machine().now() - issued_at);
+  auto data = std::move(ctx.wake_).take<std::vector<double>>();
+  FEM2_CHECK_MSG(data.size() == out.size(),
+                 "read_into buffer does not match the window");
+  std::copy(data.begin(), data.end(), out.begin());
+  ctx.runtime().recycle_read_buffer(std::move(data));
 }
 
 // --- WriteAwait ---------------------------------------------------------------
@@ -81,7 +115,7 @@ void TaskContext::WriteAwait::await_suspend(std::coroutine_handle<>) {
   issued_at = ctx.runtime().os().machine().now();
   const std::size_t bytes =
       Window::kDescriptorBytes + data.size() * sizeof(double);
-  WriteArgs args{window, std::move(data)};
+  WriteArgs args{window, std::vector<double>(data.begin(), data.end())};
   const auto token = ctx.api_.remote_call(
       destination, "navm.win.write",
       sysvm::Payload::of(std::move(args), bytes));
@@ -121,7 +155,7 @@ TaskContext::CallAwait TaskContext::deposit(hw::ClusterId destination,
                                             sysvm::Payload value,
                                             std::uint64_t token) {
   const std::size_t bytes = 32 + value.bytes;
-  DepositArgs args{collector, self(), token, std::move(value)};
+  DepositArgs args{collector, token, std::move(value)};
   return call(destination, "navm.collect",
               sysvm::Payload::of(std::move(args), bytes));
 }

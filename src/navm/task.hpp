@@ -225,19 +225,37 @@ class TaskContext {
     return ReadAwait{*this, window, {}, false};
   }
 
-  struct WriteAwait {
+  struct ReadIntoAwait {
     TaskContext& ctx;
     Window window;
-    std::vector<double> data;
+    std::span<double> out;
     bool is_local = false;
     hw::Cycles issued_at = 0;  ///< remote path: virtual time at suspend
     bool await_ready();
     void await_suspend(std::coroutine_handle<>);
     void await_resume();
   };
-  /// Assign the data visible in a window (local store or remote call).
-  WriteAwait write(const Window& window, std::vector<double> data) {
-    return WriteAwait{*this, window, std::move(data), false};
+  /// read() into `out`, which holds window.elements() values, allocating
+  /// nothing: a local window is gathered straight into `out`, and a remote
+  /// reply's buffer goes back to the runtime for the owner's next reply.
+  ReadIntoAwait read_into(const Window& window, std::span<double> out) {
+    return ReadIntoAwait{*this, window, out, false};
+  }
+
+  struct WriteAwait {
+    TaskContext& ctx;
+    Window window;
+    std::span<const double> data;  ///< read before the task suspends
+    bool is_local = false;
+    hw::Cycles issued_at = 0;  ///< remote path: virtual time at suspend
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<>);
+    void await_resume();
+  };
+  /// Assign the data visible in a window (local store or remote call).  A
+  /// local store copies nothing; a remote one copies `data` into the call.
+  WriteAwait write(const Window& window, std::span<const double> data) {
+    return WriteAwait{*this, window, data, false};
   }
 
   // --- collectors (reduction rendezvous; see Runtime) -----------------------
@@ -267,6 +285,10 @@ class TaskContext {
 
  private:
   friend class CoroProgram;
+
+  /// The remote half of read() and read_into(): call the owning cluster's
+  /// read procedure and block on its reply.
+  void block_on_window_read(const Window& window, hw::Cycles& issued_at);
 
   sysvm::TaskApi& api_;
   sysvm::Payload params_;

@@ -214,8 +214,8 @@ void Server::worker_main() {
 }
 
 std::shared_ptr<Server::SessionState> Server::next_ready() {
-  // The host engine's pool shape: spin with yield for the common case of
-  // work arriving within a scheduling quantum, then park on the condition
+  // An idle worker first spins with yield, for the common case of work
+  // arriving within a scheduling quantum, then parks on the condition
   // variable so an idle server burns no cycles.
   for (std::size_t spin = 0; spin < options_.spin_iterations; ++spin) {
     if (stop_.load(std::memory_order_acquire)) return nullptr;

@@ -399,8 +399,12 @@ Os::WaitInfo Os::wait_info(TaskId task) const {
 std::vector<Os::PendingCallInfo> Os::pending_call_infos() const {
   std::vector<PendingCallInfo> out;
   out.reserve(pending_calls_.size());
-  for (const auto& [token, call] : pending_calls_)
-    out.push_back({token, call.caller, call.destination});
+  for (const PendingCall& call : pending_calls_)
+    out.push_back({call.token, call.caller, call.destination});
+  std::sort(out.begin(), out.end(),
+            [](const PendingCallInfo& a, const PendingCallInfo& b) {
+              return a.token < b.token;
+            });
   return out;
 }
 
@@ -436,6 +440,12 @@ const Os::TaskRecord& Os::record(TaskId task) const {
   FEM2_CHECK_MSG(it != tasks_.end(),
                  "unknown task id " + std::to_string(task));
   return it->second;
+}
+
+std::vector<Os::PendingCall>::iterator Os::pending_call(CallToken token) {
+  return std::find_if(
+      pending_calls_.begin(), pending_calls_.end(),
+      [token](const PendingCall& call) { return call.token == token; });
 }
 
 Os::ClusterState& Os::cluster_state(hw::ClusterId cluster) {
@@ -524,7 +534,14 @@ void Os::send(hw::ClusterId from, hw::ClusterId to, Message message) {
     if (call->caller != kNoTask) {
       const auto it = tasks_.find(call->caller);
       if (it != tasks_.end()) call->caller_epoch = it->second.incarnation;
-      pending_calls_[call->token] = {call->caller, to, call->caller_epoch};
+      const PendingCall entry{call->token, call->caller, to,
+                              call->caller_epoch};
+      if (const auto pit = pending_call(call->token);
+          pit != pending_calls_.end()) {
+        *pit = entry;
+      } else {
+        pending_calls_.push_back(entry);
+      }
     }
   }
 
@@ -682,9 +699,7 @@ void Os::assign_workers(hw::ClusterId cluster) {
   while (!state.ready.empty()) {
     const hw::PeId pe = machine_.acquire_worker(cluster);
     if (!pe.valid()) return;
-    ReadyItem item = std::move(state.ready.front());
-    state.ready.pop_front();
-    start_work(pe, std::move(item));
+    start_work(pe, state.ready.pop_front());
   }
 }
 
@@ -720,7 +735,7 @@ void Os::start_work(hw::PeId pe, ReadyItem item) {
       FEM2_CHECK_MSG(it != procedures_.end(),
                      "remote call to unknown procedure: " +
                          proc_work->call.procedure);
-      ProcedureContext ctx{*this, pe.cluster};
+      ProcedureContext ctx{*this, pe.cluster, proc_work->call.caller};
       if (observer_ != nullptr)
         observer_->on_procedure_begin(proc_work->call, pe.cluster);
       proc_work->result = it->second.fn(ctx, proc_work->call.args);
@@ -914,9 +929,7 @@ void Os::apply_block_intent(TaskRecord& rec) {
     }
     case Kind::Pause: {
       if (!rec.pending_resumes.empty()) {
-        Payload datum = std::move(rec.pending_resumes.front());
-        rec.pending_resumes.pop_front();
-        make_ready(rec, std::move(datum));
+        make_ready(rec, rec.pending_resumes.pop_front());
         return;
       }
       rec.state = TaskState::Paused;
@@ -1020,7 +1033,7 @@ void Os::reap_task(TaskId task) {
     auto& state = cluster_state(rec.cluster);
     if (rec.state != TaskState::Finished)
       lane().load_delta[rec.cluster.index] -= 1;
-    std::erase_if(state.ready, [&](const ReadyItem& item) {
+    state.ready.erase_if([&](const ReadyItem& item) {
       const auto* queued = std::get_if<TaskId>(&item);
       return queued != nullptr && *queued == task;
     });
@@ -1196,7 +1209,7 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
   for (const auto& [id, rec] : tasks_)
     if (rec.cluster == cluster && rec.state != TaskState::Finished)
       victims.insert(id);
-  for (const auto& [token, call] : pending_calls_) {
+  for (const PendingCall& call : pending_calls_) {
     if (call.destination != cluster) continue;
     const auto it = tasks_.find(call.caller);
     if (it != tasks_.end() && it->second.state != TaskState::Finished &&
@@ -1264,11 +1277,10 @@ void Os::on_cluster_lost(hw::ClusterId cluster) {
 
   // Retire stranded call bookkeeping: calls into the dead cluster, and
   // calls whose caller incarnation no longer exists.
-  std::erase_if(pending_calls_, [&](const auto& entry) {
-    if (entry.second.destination == cluster) return true;
-    const auto it = tasks_.find(entry.second.caller);
-    return it == tasks_.end() ||
-           it->second.incarnation != entry.second.caller_epoch;
+  std::erase_if(pending_calls_, [&](const PendingCall& call) {
+    if (call.destination == cluster) return true;
+    const auto it = tasks_.find(call.caller);
+    return it == tasks_.end() || it->second.incarnation != call.caller_epoch;
   });
 
   // Unacknowledged frames to the dead cluster follow their addressee's new
@@ -1405,7 +1417,11 @@ void Os::handle(hw::ClusterId cluster, MsgRemoteCall&& m, hw::ClusterId from) {
 
 void Os::handle(hw::ClusterId cluster, MsgRemoteReturn&& m) {
   (void)cluster;
-  pending_calls_.erase(m.token);
+  // A collector wake returns a token no call entered: nothing to retire.
+  if (const auto pit = pending_call(m.token); pit != pending_calls_.end()) {
+    *pit = pending_calls_.back();
+    pending_calls_.pop_back();
+  }
   const auto it = tasks_.find(m.caller);
   if (it == tasks_.end()) {
     stats_.stale_messages_dropped += 1;

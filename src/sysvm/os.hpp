@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +31,7 @@
 
 #include "hw/channel.hpp"
 #include "hw/machine.hpp"
+#include "support/fifo.hpp"
 #include "support/slot_pool.hpp"
 #include "sysvm/heap.hpp"
 #include "sysvm/message.hpp"
@@ -163,6 +163,7 @@ struct CodeBlock {
 struct ProcedureContext {
   Os& os;
   hw::ClusterId cluster;  ///< where the procedure runs
+  TaskId caller = kNoTask;  ///< the task that made the call
   hw::Cycles charged = 0;
 
   void charge(hw::Cycles cycles) { charged += cycles; }
@@ -400,7 +401,7 @@ class Os {
     std::size_t unconsumed_child_terms = 0;
     std::vector<TaskId> paused_children;
     std::size_t unconsumed_child_pauses = 0;
-    std::deque<Payload> pending_resumes;      ///< resume before pause race
+    support::Fifo<Payload> pending_resumes;   ///< resume before pause race
 
     // Pending (buffered) step awaiting completion or redo.
     bool step_pending = false;
@@ -410,7 +411,7 @@ class Os {
   };
 
   struct ClusterState {
-    std::deque<ReadyItem> ready;
+    support::Fifo<ReadyItem> ready;
     bool dispatching = false;
     std::set<std::string> loaded_code;
   };
@@ -462,6 +463,7 @@ class Os {
   /// A remote call whose return has not been seen: destination cluster and
   /// caller, so a cluster loss can identify callers it strands.
   struct PendingCall {
+    CallToken token = 0;
     TaskId caller = kNoTask;
     hw::ClusterId destination;
     std::uint64_t caller_epoch = 0;
@@ -525,6 +527,8 @@ class Os {
   TaskRecord& record(TaskId task);
   const TaskRecord& record(TaskId task) const;
   ClusterState& cluster_state(hw::ClusterId cluster);
+  /// The pending call with `token`, or pending_calls_.end().
+  std::vector<PendingCall>::iterator pending_call(CallToken token);
 
   // Handlers per message type.
   void handle(hw::ClusterId cluster, MsgInitiate&& m);
@@ -554,7 +558,11 @@ class Os {
 
   std::map<ChannelKey, SendChannel> send_channels_;
   std::map<ChannelKey, RecvChannel> recv_channels_;
-  std::map<CallToken, PendingCall> pending_calls_;
+  /// Remote calls in flight, in no particular order: entered by send(),
+  /// swap-removed when their return is decoded.  Only a few are in flight
+  /// at once, so a scan finds a token, and once the vector has grown to the
+  /// run's high water neither step allocates.  pending_call_infos() sorts.
+  std::vector<PendingCall> pending_calls_;
   FramePool frames_;  ///< frames on the wire, by packet cargo
   TaskReaper task_reaper_;
   OsObserver* observer_ = nullptr;

@@ -5,10 +5,17 @@
 // 16x8 distributed CG solve ("navm.cg.driver", 8 workers, tol 1e-8) on a
 // 4-cluster x 4-PE machine, the perfbench sim_solve workload, and counts
 // the heap allocations made inside navm::Runtime::run() only.  Events,
-// phases, messages and simulated cycles pin the workload; the budget is one
-// allocation per event.  Events, packets and payloads keep their values
-// inline or in reused slots, so what remains is container growth and the
-// few values too large for a payload's inline buffer.
+// phases, messages and simulated cycles pin the workload; the budget is a
+// tenth of an allocation per event.
+//
+// Events, packets and payloads keep their values inline or in reused
+// slots, and the per-event queues and tables (input and ready queues,
+// pending calls, deposit logs, window-read buffers) reuse their storage
+// once grown.  What remains, about 2,650 per solve: one heap block per
+// collector deposit (about 1,900: a deposit's arguments hold a payload, so
+// they never fit a payload's inline buffer), one exact vector per
+// collector round handed to the waiting task (about 240), and the
+// set-up of tasks, arrays and CG shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,7 +103,7 @@ void operator delete[](void* p, std::align_val_t,
 namespace fem2 {
 namespace {
 
-TEST(AllocBudget, DistributedCgRunStaysUnderOneAllocationPerEvent) {
+TEST(AllocBudget, DistributedCgRunStaysUnderATenthAllocationPerEvent) {
   fem::PlateMeshOptions mesh;
   mesh.nx = 16;
   mesh.ny = 8;
@@ -145,7 +152,7 @@ TEST(AllocBudget, DistributedCgRunStaysUnderOneAllocationPerEvent) {
       static_cast<double>(allocations) / static_cast<double>(events);
   std::cout << "allocations in run(): " << allocations << " for " << events
             << " events = " << per_event << " per event\n";
-  EXPECT_LE(per_event, 1.0);
+  EXPECT_LE(per_event, 0.1);
 }
 
 }  // namespace

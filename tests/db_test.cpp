@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "db/bytes.hpp"
 #include "db/crc32.hpp"
 #include "db/engine.hpp"
+#include "db/snapshot.hpp"
 #include "db/wal.hpp"
 
 namespace fs = std::filesystem;
@@ -206,6 +208,86 @@ TEST(Wal, MissingFileIsEmptyLog) {
   EXPECT_TRUE(replayed.records.empty());
   EXPECT_EQ(replayed.total_bytes, 0u);
   EXPECT_FALSE(replayed.torn_tail);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot decoding of counts that lie under a valid checksum
+
+/// A snapshot file around `payload` with a correct CRC-32C trailer, so the
+/// decoder gets past the checksum and must judge the counts themselves.
+std::string framed_snapshot(std::string_view payload,
+                            std::uint64_t payload_bytes) {
+  std::string out("F2DBSNAP");
+  db::append_u32(out, 1);
+  db::append_u64(out, payload_bytes);
+  out.append(payload);
+  db::append_u32(out, db::crc32c(payload));
+  return out;
+}
+
+/// Payload: next_txn, a chain count, then `chains` empty chains (12 bytes
+/// each, the smallest chain record).
+std::string chains_payload(std::uint64_t count, std::size_t chains) {
+  std::string p;
+  db::append_u64(p, 1);
+  db::append_u64(p, count);
+  for (std::size_t i = 0; i < chains; ++i) {
+    db::append_string(p, "");
+    db::append_u64(p, 0);
+  }
+  return p;
+}
+
+/// Payload: one chain "a" with a version count, then `versions` versions
+/// with empty kind and value (25 bytes each, the smallest version record).
+std::string versions_payload(std::uint64_t count, std::size_t versions) {
+  std::string p;
+  db::append_u64(p, 1);
+  db::append_u64(p, 1);
+  db::append_string(p, "a");
+  db::append_u64(p, count);
+  for (std::size_t v = 0; v < versions; ++v) {
+    db::append_u64(p, v + 1);
+    db::append_u8(p, 0);
+    db::append_u64(p, 1);
+    db::append_string(p, "");
+    db::append_string(p, "");
+  }
+  return p;
+}
+
+TEST(Snapshot, CountsBeyondThePayloadThrowDbError) {
+  TempDir dir("snapshot_counts");
+  const std::string path = (dir.path / "snapshot.f2db").string();
+  const auto load = [&](const std::string& bytes) {
+    write_file(path, bytes);
+    return db::load_snapshot(path);
+  };
+
+  // The honest files load, so each lie below is the only defect.
+  const std::string two_chains = chains_payload(2, 2);
+  const auto chains = load(framed_snapshot(two_chains, two_chains.size()));
+  ASSERT_TRUE(chains.has_value());
+  EXPECT_EQ(chains->chains.size(), 2u);
+  const std::string two_versions = versions_payload(2, 2);
+  const auto versions =
+      load(framed_snapshot(two_versions, two_versions.size()));
+  ASSERT_TRUE(versions.has_value());
+  ASSERT_EQ(versions->chains.size(), 1u);
+  EXPECT_EQ(versions->chains[0].versions.size(), 2u);
+
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 61, std::uint64_t{1} << 33, std::uint64_t{3}}) {
+    const std::string payload = chains_payload(count, 2);
+    EXPECT_THROW(load(framed_snapshot(payload, payload.size())), db::Error)
+        << "chain count " << count;
+  }
+  const std::string lying_versions = versions_payload(3, 2);
+  EXPECT_THROW(load(framed_snapshot(lying_versions, lying_versions.size())),
+               db::Error);
+  // payload_bytes + 4 must not wrap around to a small number.
+  EXPECT_THROW(load(framed_snapshot(two_chains, ~std::uint64_t{0})),
+               db::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -384,6 +385,18 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// Row-per-line text of a matrix at full precision, for failure messages.
+std::string matrix_text(const la::DenseMatrix& m) {
+  std::ostringstream os;
+  os.precision(17);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    os << "[";
+    for (std::size_t c = 0; c < m.cols(); ++c) os << (c ? " " : "") << m(r, c);
+    os << "]\n";
+  }
+  return os.str();
+}
+
 /// Compares one element's stiffness and stress (under displacements u)
 /// with the DenseMatrix formulation; both must throw or neither.
 void expect_element_matches(const StructureModel& model, std::size_t index,
@@ -406,8 +419,8 @@ void expect_element_matches(const StructureModel& model, std::size_t index,
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
   EXPECT_TRUE(same_bits(got.data(), want.data())) << what << " K_e\n"
-                                                  << got.to_string(17)
-                                                  << want.to_string(17);
+                                                  << matrix_text(got)
+                                                  << matrix_text(want);
   const ElementStress s = element_stress(model, index, u);
   const ElementStress w = before::element_stress(model, index, u);
   const double got_s[] = {s.sigma_xx, s.sigma_yy, s.tau_xy, s.von_mises};

@@ -2,6 +2,8 @@
 // collectors, distributed operations, and behaviour under PE failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "la/iterative.hpp"
 #include "navm/parops.hpp"
 #include "navm/runtime.hpp"
@@ -309,6 +311,71 @@ TEST(Runtime, CollectorReusableAcrossPhases) {
   const auto id = s.runtime.launch("driver");
   s.runtime.run();
   EXPECT_EQ(as_int(s.runtime.result(id)), 6);
+}
+
+TEST(Runtime, CollectorAcceptsEachDepositorTokenOnce) {
+  Stack s{Stack::make_config(3, 3)};
+  struct Params {
+    hw::ClusterId home;
+    std::uint64_t collector;
+  };
+  constexpr std::uint64_t kBig = (std::uint64_t{1} << 63) + 1;
+  struct Deposit {
+    double value;
+    std::uint64_t token;
+  };
+  // Per depositor and round: every deposit it makes, duplicates included.
+  // A pair is accepted once across the collector's auto-resets, token 0 is
+  // never deduplicated, and the same token from another depositor counts.
+  static const std::vector<std::vector<std::vector<Deposit>>> kPlan{
+      {{{1, 1}, {99, 1}, {2, 0}}, {{3, 1}}},
+      {{{98, 1}, {20, kBig}, {97, kBig}, {40, 0}}, {{50, kBig}}},
+      {{{60, 0}, {96, kBig}, {80, 2}}, {{90, 0}}},
+  };
+  s.runtime.define_task("depositor", [](TaskContext& ctx) -> Coro {
+    const auto& p = ctx.params().as<Params>();
+    const std::uint32_t me = ctx.replication_index();
+    for (const auto& round : kPlan) {
+      for (const Deposit& d : round[me]) {
+        (void)co_await ctx.deposit(p.home, p.collector,
+                                   payload_real(d.value), d.token);
+      }
+      (void)co_await ctx.pause();
+    }
+    co_return sysvm::Payload{};
+  });
+  s.runtime.define_task("driver", [](TaskContext& ctx) -> Coro {
+    const auto collector = ctx.make_collector(3);
+    const auto children = ctx.initiate("depositor", 2, [&](std::uint32_t) {
+      return sysvm::Payload::of(Params{ctx.cluster(), collector}, 16);
+    });
+    std::vector<double> accepted;
+    for (std::size_t round = 0; round < kPlan.size(); ++round) {
+      const auto deposits = co_await ctx.collect(collector);
+      std::vector<double> values;
+      for (const auto& d : deposits) values.push_back(as_real(d));
+      std::sort(values.begin(), values.end());
+      accepted.insert(accepted.end(), values.begin(), values.end());
+      // Both depositors have paused once the round's last duplicate is
+      // answered; only then may the next round start.
+      (void)co_await ctx.child_pauses(2);
+      ctx.broadcast(children, sysvm::Payload{});
+    }
+    (void)co_await ctx.join(2);
+    co_return payload_reals(std::move(accepted));
+  });
+
+  struct DepositCounter : RuntimeObserver {
+    std::size_t accepted = 0;
+    void on_deposit(std::uint64_t, sysvm::TaskId) override { ++accepted; }
+  } counter;
+  s.runtime.set_observer(&counter);
+  const auto id = s.runtime.launch("driver");
+  s.runtime.run();
+  ASSERT_TRUE(s.os.task_finished(id));
+  EXPECT_EQ(as_reals(s.runtime.result(id)),
+            (std::vector<double>{1, 2, 3, 20, 40, 50, 60, 80, 90}));
+  EXPECT_EQ(counter.accepted, 9u);
 }
 
 // --- distributed operations vs sequential reference -------------------------

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <string>
+#include <vector>
 
 #include "support/check.hpp"
+#include "support/fifo.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -18,6 +22,88 @@ TEST(Check, ThrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("math broke"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
+}
+
+std::vector<int> drain(Fifo<int>& q) {
+  std::vector<int> out;
+  while (!q.empty()) out.push_back(q.pop_front());
+  return out;
+}
+
+TEST(Fifo, WrapsAroundAndGrowsWhileWrapped) {
+  Fifo<int> q;
+  for (int i = 0; i < 6; ++i) q.push_back(i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop_front(), i);
+  // The ring (8 slots) now wraps: 5 at slot 5, then slots 6, 7, 0, 1...
+  for (int i = 6; i < 12; ++i) q.push_back(i);
+  EXPECT_EQ(q.capacity(), 8u);
+  EXPECT_EQ(q.size(), 7u);
+  // Growing while wrapped keeps the order.
+  q.push_back(12);
+  q.push_back(13);
+  EXPECT_EQ(q.capacity(), 16u);
+  EXPECT_EQ(q.front(), 5);
+  EXPECT_EQ(drain(q), (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12, 13}));
+}
+
+TEST(Fifo, PushFrontEraseIfAndClear) {
+  Fifo<std::string> q;
+  q.push_back("b");
+  q.push_front("a");
+  for (int i = 0; i < 6; ++i) q.push_front("x" + std::to_string(i));
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.capacity(), 8u);
+  q.push_back("c");  // full: grows with the head mid-ring
+  EXPECT_EQ(q.size(), 9u);
+  const auto removed = q.erase_if(
+      [](const std::string& s) { return s.front() == 'x' && s != "x3"; });
+  EXPECT_EQ(removed, 5u);
+  std::vector<std::string> order;
+  while (!q.empty()) order.push_back(q.pop_front());
+  EXPECT_EQ(order, (std::vector<std::string>{"x3", "a", "b", "c"}));
+
+  // Against a std::deque reference over many wrapped operations.
+  Fifo<int> ring;
+  std::deque<int> ref;
+  Rng rng(11);
+  for (int step = 0; step < 2000; ++step) {
+    const auto op = rng.next_below(5);
+    if (op == 0) {
+      ring.push_front(step);
+      ref.push_front(step);
+    } else if (op <= 2) {
+      ring.push_back(step);
+      ref.push_back(step);
+    } else if (op == 3 && !ref.empty()) {
+      EXPECT_EQ(ring.pop_front(), ref.front());
+      ref.pop_front();
+    } else if (op == 4) {
+      const int m = static_cast<int>(rng.next_below(7)) + 2;
+      EXPECT_EQ(ring.erase_if([m](int v) { return v % m == 0; }),
+                static_cast<std::size_t>(std::erase_if(
+                    ref, [m](int v) { return v % m == 0; })));
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+  }
+  EXPECT_EQ(drain(ring), std::vector<int>(ref.begin(), ref.end()));
+
+  ring.push_back(1);
+  ring.push_back(2);
+  const std::size_t slots = ring.capacity();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), slots);
+  ring.push_back(3);
+  EXPECT_EQ(drain(ring), std::vector<int>{3});
+}
+
+TEST(Fifo, EmptyFrontAndPopFailACheck) {
+  Fifo<int> q;
+  EXPECT_THROW((void)q.front(), CheckError);
+  EXPECT_THROW((void)q.pop_front(), CheckError);
+  q.push_back(7);
+  EXPECT_EQ(q.pop_front(), 7);
+  EXPECT_THROW((void)q.pop_front(), CheckError);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

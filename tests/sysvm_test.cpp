@@ -2,6 +2,9 @@
 // system programmer's VM is exercised in isolation from the layer above.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "hw/machine.hpp"
 #include "sysvm/message.hpp"
 #include "sysvm/os.hpp"
@@ -245,6 +248,89 @@ TEST(Os, RemoteCallExecutesOnTargetAndReplies) {
   EXPECT_TRUE(os.task_finished(id));
   EXPECT_EQ(executed_on, 1u);
   EXPECT_EQ(os.stats().procedures_executed, 1u);
+}
+
+TEST(Os, PendingCallInfosListInFlightCallsInTokenOrder) {
+  hw::Machine machine(config(3, 3));
+  OsOptions options;
+  options.placement = Placement::Local;
+  Os os(machine, options);
+  os.register_procedure(Procedure{
+      "work", 64, [](ProcedureContext& ctx, const Payload& args) {
+        ctx.charge(static_cast<hw::Cycles>(args.as<int>()));
+        return Payload{};
+      }});
+  // The caller on cluster 0 issues three calls in one step: a short one
+  // that returns first, then two long ones; the caller on cluster 2 draws
+  // its token from another lane, so tokens interleave across callers.
+  std::vector<CallToken> a;
+  CallToken b = 0;
+  os.register_task_type(scripted("caller_a", [&a](TaskApi&, const Payload&) {
+    return std::vector<ScriptedProgram::Step>{
+        [&a](TaskApi& api, Payload) {
+          a.push_back(api.remote_call(hw::ClusterId{1}, "work",
+                                      Payload::of(100, 8)));
+          a.push_back(api.remote_call(hw::ClusterId{2}, "work",
+                                      Payload::of(400'000, 8)));
+          a.push_back(api.remote_call(hw::ClusterId{1}, "work",
+                                      Payload::of(300'000, 8)));
+          api.block_on_reply(a[2]);
+          return StepResult{StepResult::Outcome::Blocked, 5};
+        },
+        [&a](TaskApi& api, Payload) {
+          api.block_on_reply(a[1]);
+          return StepResult{StepResult::Outcome::Blocked, 5};
+        },
+        [](TaskApi&, Payload) { return finish(); }};
+  }));
+  os.register_task_type(scripted("caller_b", [&b](TaskApi&, const Payload&) {
+    return std::vector<ScriptedProgram::Step>{
+        [&b](TaskApi& api, Payload) {
+          b = api.remote_call(hw::ClusterId{0}, "work",
+                              Payload::of(350'000, 8));
+          api.block_on_reply(b);
+          return StepResult{StepResult::Outcome::Blocked, 5};
+        },
+        [](TaskApi&, Payload) { return finish(); }};
+  }));
+  const TaskId task_a = os.launch("caller_a", Payload{}, hw::ClusterId{0});
+  const TaskId task_b = os.launch("caller_b", Payload{}, hw::ClusterId{2});
+  // A return whose token was never entered (as a collector wake posts)
+  // retires nothing.
+  machine.engine().schedule(50'000, [&] {
+    MsgRemoteReturn stray;
+    stray.caller = task_b;
+    stray.token = 999'999;
+    os.post(hw::ClusterId{2}, hw::ClusterId{2}, Message{std::move(stray)});
+  });
+  std::vector<Os::PendingCallInfo> mid;
+  machine.engine().schedule(100'000, [&] { mid = os.pending_call_infos(); });
+  os.run();
+  ASSERT_TRUE(os.task_finished(task_a));
+  ASSERT_TRUE(os.task_finished(task_b));
+
+  ASSERT_EQ(a.size(), 3u);
+  struct Expected {
+    CallToken token;
+    TaskId caller;
+    std::uint32_t destination;
+  };
+  std::vector<Expected> expected{
+      {a[1], task_a, 2}, {a[2], task_a, 1}, {b, task_b, 0}};
+  std::sort(expected.begin(), expected.end(),
+            [](const Expected& x, const Expected& y) {
+              return x.token < y.token;
+            });
+  ASSERT_EQ(mid.size(), expected.size());
+  for (std::size_t i = 0; i < mid.size(); ++i) {
+    EXPECT_EQ(mid[i].token, expected[i].token) << i;
+    EXPECT_EQ(mid[i].caller, expected[i].caller) << i;
+    EXPECT_EQ(mid[i].destination.index, expected[i].destination) << i;
+  }
+  // The tokens really interleave across the two callers' lanes.
+  EXPECT_LT(a[0], b);
+  EXPECT_LT(b, a[2]);
+  EXPECT_TRUE(os.pending_call_infos().empty());
 }
 
 TEST(Os, EarlyReplyIsBuffered) {
