@@ -109,10 +109,8 @@ RunResult run_serve(const std::filesystem::path& dir, std::size_t sessions,
   serve::ServerOptions sopts;
   // Commit batching needs committers in flight together, so the pool is
   // as wide as the session count (workers blocked in a batch fsync or on
-  // the window's cv cost no CPU) ...
+  // the window's cv cost no CPU).
   sopts.workers = static_cast<unsigned>(std::min<std::size_t>(sessions, 64));
-  // ... and spinning that wide would starve a small host.
-  sopts.spin_iterations = 0;
   sopts.queue_capacity = 8192;
   // The bench tenant legitimately keeps sessions * pipeline requests in
   // flight; quota rejections are a different experiment (the chaos one).

@@ -42,19 +42,14 @@ DofMap build_dof_map(const StructureModel& model) {
   return map;
 }
 
-namespace {
-
-/// Global full-dof indices of one element's local dofs.
-void element_global_dofs(const Element& element, const DofMap& map,
-                         std::vector<std::size_t>& global) {
+void element_full_dofs(const Element& element, std::size_t dofs_per_node,
+                       std::vector<std::size_t>& full) {
   const std::size_t edof = element_dofs_per_node(element.type);
-  global.resize(element.node_count() * edof);
+  full.resize(element.node_count() * edof);
   for (std::size_t i = 0; i < element.node_count(); ++i)
     for (std::size_t d = 0; d < edof; ++d)
-      global[i * edof + d] = map.full_index(element.nodes[i], d);
+      full[i * edof + d] = element.nodes[i] * dofs_per_node + d;
 }
-
-}  // namespace
 
 std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
     const StructureModel& model, const DofMap& dofs) {
@@ -62,12 +57,12 @@ std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
   // touch it, scatter the column ids into them, then sort and dedupe each
   // short row in place.  Same pattern as sorting every (row, col) pair.
   const std::size_t n = dofs.free_dofs;
-  std::vector<std::size_t> global;
+  std::vector<std::size_t> full;
   std::vector<std::size_t> free;
   auto element_free_dofs = [&](const Element& element) {
-    element_global_dofs(element, dofs, global);
+    element_full_dofs(element, dofs.dofs_per_node, full);
     free.clear();
-    for (const std::size_t g : global)
+    for (const std::size_t g : full)
       if (const std::ptrdiff_t r = dofs.full_to_reduced[g]; r >= 0)
         free.push_back(static_cast<std::size_t>(r));
   };
@@ -105,74 +100,37 @@ std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
                                                std::move(col_idx));
 }
 
-AssemblyPlan build_assembly_plan(const StructureModel& model) {
-  model.validate();
-  AssemblyPlan plan;
-  plan.dofs = build_dof_map(model);
-  FEM2_CHECK_MSG(plan.dofs.free_dofs > 0, "model is fully constrained");
-  plan.pattern = build_sparsity_pattern(model, plan.dofs);
-
-  const DofMap& map = plan.dofs;
-  plan.matrix_begin.reserve(model.elements.size() + 1);
-  plan.rhs_begin.reserve(model.elements.size() + 1);
-  std::vector<std::size_t> global;
-  for (const auto& element : model.elements) {
-    plan.matrix_begin.push_back(plan.matrix.size());
-    plan.rhs_begin.push_back(plan.rhs.size());
-    element_global_dofs(element, map, global);
-    const std::size_t n = global.size();
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::ptrdiff_t rr = map.full_to_reduced[global[r]];
-      if (rr < 0) continue;
-      for (std::size_t c = 0; c < n; ++c) {
-        const auto local = static_cast<std::uint32_t>(r * n + c);
-        const std::ptrdiff_t rc = map.full_to_reduced[global[c]];
-        if (rc >= 0) {
-          const std::size_t offset = plan.pattern->find(
-              static_cast<std::size_t>(rr), static_cast<std::size_t>(rc));
-          FEM2_CHECK(offset != la::SparsityPattern::npos);
-          plan.matrix.push_back({local, offset});
-        } else {
-          // Constrained column: moves to the right-hand side.
-          const double uc = map.prescribed[global[c]];
-          if (uc != 0.0)
-            plan.rhs.push_back({local, static_cast<std::size_t>(rr), uc});
-        }
-      }
-    }
-  }
-  plan.matrix_begin.push_back(plan.matrix.size());
-  plan.rhs_begin.push_back(plan.rhs.size());
-  return plan;
+SystemScatter::SystemScatter(const StructureModel& model) {
+  system_.dofs = build_dof_map(model);
+  FEM2_CHECK_MSG(system_.dofs.free_dofs > 0, "model is fully constrained");
+  pattern_ = build_sparsity_pattern(model, system_.dofs);
+  values_.assign(pattern_->nonzeros(), 0.0);
+  system_.rhs_correction.assign(system_.dofs.free_dofs, 0.0);
 }
 
-AssembledSystem assemble_numeric(const StructureModel& model,
-                                 const AssemblyPlan& plan) {
-  FEM2_CHECK(plan.matrix_begin.size() == model.elements.size() + 1);
-  AssembledSystem system;
-  system.dofs = plan.dofs;
-  system.rhs_correction.assign(plan.dofs.free_dofs, 0.0);
-
-  std::vector<double> values(plan.pattern->nonzeros(), 0.0);
-  for (std::size_t e = 0; e < model.elements.size(); ++e) {
-    const la::DenseMatrix k = element_stiffness(model, model.elements[e]);
-    const std::span<const double> kd = k.data();
-    for (std::size_t s = plan.matrix_begin[e]; s < plan.matrix_begin[e + 1];
-         ++s) {
-      const auto& scatter = plan.matrix[s];
-      values[scatter.offset] += kd[scatter.local];
-    }
-    for (std::size_t s = plan.rhs_begin[e]; s < plan.rhs_begin[e + 1]; ++s) {
-      const auto& scatter = plan.rhs[s];
-      system.rhs_correction[scatter.row] += kd[scatter.local] * scatter.coeff;
-    }
-  }
-  system.stiffness = la::CsrMatrix(plan.pattern, std::move(values));
-  return system;
+AssembledSystem SystemScatter::finish() {
+  system_.stiffness = la::CsrMatrix(std::move(pattern_), std::move(values_));
+  return std::move(system_);
 }
 
 AssembledSystem assemble(const StructureModel& model) {
-  return assemble_numeric(model, build_assembly_plan(model));
+  model.validate();
+  SystemScatter scatter(model);
+  const std::size_t dofs_per_node = model.dofs_per_node();
+  std::vector<std::size_t> full;
+  for (const auto& element : model.elements) {
+    const la::DenseMatrix k = element_stiffness(model, element);
+    const std::span<const double> kd = k.data();  // row-major, n x n
+    element_full_dofs(element, dofs_per_node, full);
+    const std::size_t n = full.size();
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::ptrdiff_t row = scatter.free_row(full[r]);
+      if (row < 0) continue;
+      for (std::size_t c = 0; c < n; ++c)
+        scatter.add(static_cast<std::size_t>(row), full[c], kd[r * n + c]);
+    }
+  }
+  return scatter.finish();
 }
 
 std::vector<double> AssembledSystem::load_vector(const LoadSet& loads) const {
@@ -194,17 +152,6 @@ Displacements AssembledSystem::expand(std::span<const double> reduced) const {
   for (std::size_t i = 0; i < reduced.size(); ++i)
     out.values[dofs.reduced_to_full[i]] = reduced[i];
   return out;
-}
-
-std::uint64_t assembly_flops(const StructureModel& model) {
-  std::uint64_t flops = 0;
-  for (const auto& element : model.elements) {
-    const std::size_t n =
-        element.node_count() * element_dofs_per_node(element.type);
-    // Forming B'DB-style products plus the merge: ~3 n^3 + n^2.
-    flops += 3 * n * n * n + n * n;
-  }
-  return flops;
 }
 
 }  // namespace fem2::fem

@@ -1,20 +1,21 @@
 // Global system assembly: dof numbering, element merge, constraint
 // elimination, and load-set vectors.
 //
-// Assembly is split symbolic/numeric (MiniFE-style): build_assembly_plan
-// walks the mesh once to produce the reduced sparsity pattern and flat
-// per-element scatter maps; assemble_numeric then fills values through
-// the plan with no searching or reallocation.  Re-assembling on the same
-// mesh (load stepping, material updates) reuses the plan.
+// fem::assemble is one pass: it builds the dof map and the reduced
+// sparsity pattern, then forms each element's stiffness and adds every
+// entry through the pattern.  The simulated machine's parallel assembly
+// (passembly.hpp) forms the same element matrices in worker tasks and
+// places their entries with the same SystemScatter on the host, so both
+// paths give the same bits.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "fem/model.hpp"
 #include "la/sparse.hpp"
+#include "support/check.hpp"
 
 namespace fem2::fem {
 
@@ -30,9 +31,6 @@ struct DofMap {
 
   std::size_t full_index(std::size_t node, std::size_t dof) const {
     return node * dofs_per_node + dof;
-  }
-  bool is_free(std::size_t full) const {
-    return full_to_reduced[full] >= 0;
   }
 };
 
@@ -57,46 +55,56 @@ struct AssembledSystem {
   Displacements expand(std::span<const double> reduced) const;
 };
 
-/// Symbolic half of assembly: reduced sparsity pattern from element
-/// connectivity (structural nonzeros; exact numeric zeros are kept so the
-/// pattern is value-independent).
+/// Full (model-wide) dof numbers of an element's local dofs, in element
+/// matrix order: local dof d of the element's i-th node is row
+/// i * edof + d, with edof = element_dofs_per_node(element.type), and
+/// lands on full dof node * dofs_per_node + d.
+void element_full_dofs(const Element& element, std::size_t dofs_per_node,
+                       std::vector<std::size_t>& full);
+
+/// Reduced sparsity pattern from element connectivity (structural
+/// nonzeros; exact numeric zeros are kept so the pattern is
+/// value-independent).
 std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
     const StructureModel& model, const DofMap& dofs);
 
-/// Precomputed scatter maps: where each element-matrix entry lands in the
-/// CSR value array (or, for constrained columns, which rhs row it corrects
-/// and with what prescribed value).
-struct AssemblyPlan {
-  DofMap dofs;
-  std::shared_ptr<const la::SparsityPattern> pattern;
+/// The one constraint scatter, shared by fem::assemble and the parallel
+/// path's host merge: it places element-matrix entries K(r, c) into the
+/// reduced system.  A constrained row r is dropped, since its displacement
+/// is known.  A free row's entry adds into the CSR values when column c is
+/// free, and K(r, c) * u_c adds into rhs_correction[r] when c is
+/// constrained with a nonzero prescribed value u_c.
+class SystemScatter {
+ public:
+  /// Zero system over the model's dof map and reduced pattern.
+  explicit SystemScatter(const StructureModel& model);
 
-  struct MatrixScatter {
-    std::uint32_t local;  ///< r * n + c into the element matrix (row-major)
-    std::size_t offset;   ///< destination in the CSR value array
-  };
-  struct RhsScatter {
-    std::uint32_t local;
-    std::size_t row;      ///< reduced rhs row
-    double coeff;         ///< prescribed value u_c of the constrained column
-  };
-  std::vector<std::size_t> matrix_begin;  ///< per element, size elements + 1
-  std::vector<MatrixScatter> matrix;
-  std::vector<std::size_t> rhs_begin;     ///< per element, size elements + 1
-  std::vector<RhsScatter> rhs;
+  /// Reduced row of full dof `full`, or -1 when it is constrained.
+  std::ptrdiff_t free_row(std::size_t full) const {
+    return system_.dofs.full_to_reduced[full];
+  }
+  /// Adds K(row, col); `row` is a free_row() result, `col` a full dof.
+  void add(std::size_t row, std::size_t col, double value) {
+    const DofMap& map = system_.dofs;
+    if (const std::ptrdiff_t c = map.full_to_reduced[col]; c >= 0) {
+      const std::size_t k = pattern_->find(row, static_cast<std::size_t>(c));
+      FEM2_CHECK(k != la::SparsityPattern::npos);
+      values_[k] += value;
+    } else if (const double uc = map.prescribed[col]; uc != 0.0) {
+      system_.rhs_correction[row] += value * uc;
+    }
+  }
+
+  /// The filled system; call once.
+  AssembledSystem finish();
+
+ private:
+  AssembledSystem system_;
+  std::shared_ptr<const la::SparsityPattern> pattern_;
+  std::vector<double> values_;
 };
 
-AssemblyPlan build_assembly_plan(const StructureModel& model);
-
-/// Numeric half: element stiffnesses scattered through the plan.  The
-/// result shares the plan's pattern (no index copies).
-AssembledSystem assemble_numeric(const StructureModel& model,
-                                 const AssemblyPlan& plan);
-
-/// One-shot assembly: symbolic plan + numeric fill.
+/// Validates the model, then assembles K_ff and the K_fc·u_c correction.
 AssembledSystem assemble(const StructureModel& model);
-
-/// Assembly cost model used by the simulated parallel pipeline: floating
-/// point work to form and merge all element matrices.
-std::uint64_t assembly_flops(const StructureModel& model);
 
 }  // namespace fem2::fem

@@ -258,6 +258,18 @@ la::DenseMatrix element_stiffness(const StructureModel& model,
   FEM2_UNREACHABLE("bad ElementType");
 }
 
+std::uint64_t element_assembly_flops(const Element& element) {
+  const std::uint64_t n =
+      element.node_count() * element_dofs_per_node(element.type);
+  return 3 * n * n * n + n * n;
+}
+
+std::uint64_t element_stress_flops(const Element& element) {
+  const std::uint64_t n =
+      element.node_count() * element_dofs_per_node(element.type);
+  return 2 * 3 * n + 20;
+}
+
 double von_mises_plane(double sxx, double syy, double txy) {
   return std::sqrt(sxx * sxx - sxx * syy + syy * syy + 3.0 * txy * txy);
 }

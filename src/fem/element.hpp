@@ -1,6 +1,7 @@
 // Element stiffness matrices and stress recovery kernels.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "fem/model.hpp"
@@ -19,6 +20,15 @@ la::DenseMatrix element_stiffness(const StructureModel& model,
 ElementStress element_stress(const StructureModel& model,
                              std::size_t element_index,
                              const Displacements& displacements);
+
+/// Simulated cost of element_stiffness plus merging the n×n result, with
+/// n = node_count * element_dofs_per_node(type): B'DB-style products and
+/// the merge, about 3n³ + n² flops.
+std::uint64_t element_assembly_flops(const Element& element);
+
+/// Simulated cost of element_stress: sigma = D B u_e plus invariants,
+/// 2·3n + 20 flops.
+std::uint64_t element_stress_flops(const Element& element);
 
 /// von Mises equivalent stress for a plane-stress state.
 double von_mises_plane(double sxx, double syy, double txy);

@@ -36,7 +36,6 @@ struct TripletShard {
 
 struct AssembledPayload {
   std::vector<la::Triplet> triplets;  ///< full-dof triplets, merged
-  std::uint64_t flops = 0;
 };
 
 navm::Coro assemble_worker_body(navm::TaskContext& ctx) {
@@ -46,21 +45,17 @@ navm::Coro assemble_worker_body(navm::TaskContext& ctx) {
   TripletShard shard;
   shard.element_begin = p.element_begin;
   std::uint64_t flops = 0;
+  std::vector<std::size_t> full;
   for (std::size_t e = p.element_begin; e < p.element_end; ++e) {
     const Element& element = p.model.elements[e];
     const la::DenseMatrix k = element_stiffness(p.model, element);
-    const std::size_t edof = element_dofs_per_node(element.type);
-    const std::size_t n = element.node_count() * edof;
-    flops += 3 * n * n * n + n * n;
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t gr =
-          element.nodes[r / edof] * ndof + (r % edof);
-      for (std::size_t c = 0; c < n; ++c) {
+    element_full_dofs(element, ndof, full);
+    flops += element_assembly_flops(element);
+    for (std::size_t r = 0; r < full.size(); ++r) {
+      for (std::size_t c = 0; c < full.size(); ++c) {
         const double v = k(r, c);
         if (v == 0.0) continue;
-        const std::size_t gc =
-            element.nodes[c / edof] * ndof + (c % edof);
-        shard.triplets.push_back({gr, gc, v});
+        shard.triplets.push_back({full[r], full[c], v});
       }
     }
   }
@@ -130,10 +125,7 @@ navm::Coro stress_worker_body(navm::TaskContext& ctx) {
   std::uint64_t flops = 0;
   for (std::size_t e = p.element_begin; e < p.element_end; ++e) {
     shard.stresses.push_back(element_stress(p.model, e, p.displacements));
-    const Element& element = p.model.elements[e];
-    const std::size_t n =
-        element.node_count() * element_dofs_per_node(element.type);
-    flops += 2 * 3 * n + 20;
+    flops += element_stress_flops(p.model.elements[e]);
   }
   ctx.charge_flops(flops);
   const std::size_t bytes =
@@ -228,32 +220,15 @@ AssembledSystem assemble_parallel(const StructureModel& model,
                  "parallel assembly did not complete");
   const auto& merged = runtime.result(task).as<AssembledPayload>();
 
-  // Constraint elimination on the host, filling through the symbolic
-  // pattern (identical to fem::assemble: same accumulation order, so the
-  // result is bitwise equal to the serial path — workers only skip exact
-  // zeros, which cannot change a sum).
-  AssembledSystem system;
-  system.dofs = build_dof_map(model);
-  const DofMap& map = system.dofs;
-  const auto pattern = build_sparsity_pattern(model, map);
-  std::vector<double> values(pattern->nonzeros(), 0.0);
-  system.rhs_correction.assign(map.free_dofs, 0.0);
-  for (const auto& t : merged.triplets) {
-    const std::ptrdiff_t rr = map.full_to_reduced[t.row];
-    if (rr < 0) continue;
-    const std::ptrdiff_t rc = map.full_to_reduced[t.col];
-    if (rc >= 0) {
-      const std::size_t k = pattern->find(static_cast<std::size_t>(rr),
-                                          static_cast<std::size_t>(rc));
-      FEM2_CHECK(k != la::SparsityPattern::npos);
-      values[k] += t.value;
-    } else {
-      const double uc = map.prescribed[t.col];
-      if (uc != 0.0)
-        system.rhs_correction[static_cast<std::size_t>(rr)] += t.value * uc;
-    }
-  }
-  system.stiffness = la::CsrMatrix(std::move(pattern), std::move(values));
+  // Constraint elimination on the host, through fem::assemble's scatter:
+  // the triplets arrive in serial element, row and column order, so every
+  // sum is bitwise equal to the serial path's.  Workers skip exact zeros,
+  // which cannot change a sum that starts from +0.0.
+  SystemScatter scatter(model);
+  for (const auto& t : merged.triplets)
+    if (const std::ptrdiff_t row = scatter.free_row(t.row); row >= 0)
+      scatter.add(static_cast<std::size_t>(row), t.col, t.value);
+  AssembledSystem system = scatter.finish();
 
   if (stats != nullptr) {
     stats->workers = workers;

@@ -21,14 +21,4 @@ ElementStress peak_stress(const std::vector<ElementStress>& stresses) {
   return *best;
 }
 
-std::uint64_t stress_flops(const StructureModel& model) {
-  std::uint64_t flops = 0;
-  for (const auto& element : model.elements) {
-    const std::size_t n =
-        element.node_count() * element_dofs_per_node(element.type);
-    flops += 2 * 3 * n + 20;  // sigma = D B u_e plus invariants
-  }
-  return flops;
-}
-
 }  // namespace fem2::fem

@@ -14,7 +14,4 @@ std::vector<ElementStress> compute_stresses(const StructureModel& model,
 /// Largest von Mises stress and the element carrying it.
 ElementStress peak_stress(const std::vector<ElementStress>& stresses);
 
-/// Floating-point cost model for stress recovery (simulated pipeline).
-std::uint64_t stress_flops(const StructureModel& model);
-
 }  // namespace fem2::fem

@@ -13,23 +13,6 @@ namespace fem2::fem {
 
 namespace {
 
-/// Free (reduced) dof indices touched by one element.
-std::vector<std::size_t> element_free_dofs(const StructureModel& model
-                                           [[maybe_unused]],
-                                           const DofMap& map,
-                                           const Element& element) {
-  std::vector<std::size_t> out;
-  const std::size_t edof = element_dofs_per_node(element.type);
-  for (std::size_t i = 0; i < element.node_count(); ++i) {
-    for (std::size_t d = 0; d < edof; ++d) {
-      const std::ptrdiff_t r =
-          map.full_to_reduced[map.full_index(element.nodes[i], d)];
-      if (r >= 0) out.push_back(static_cast<std::size_t>(r));
-    }
-  }
-  return out;
-}
-
 double element_centroid_x(const StructureModel& model,
                           const Element& element) {
   double x = 0.0;
@@ -166,13 +149,17 @@ SubstructureProblem prepare_substructures(
   std::vector<std::uint32_t> touch_count(n, 0);
   std::vector<std::uint32_t> touch_first(n, 0);
   std::vector<std::vector<std::size_t>> sub_dofs(s_count);
+  std::vector<std::size_t> full;
   {
     std::vector<std::uint8_t> seen(n, 0);
     for (std::size_t s = 0; s < s_count; ++s) {
       std::fill(seen.begin(), seen.end(), 0);
       for (const std::size_t e : partition.element_groups[s]) {
-        for (const std::size_t d :
-             element_free_dofs(model, map, model.elements[e])) {
+        element_full_dofs(model.elements[e], map.dofs_per_node, full);
+        for (const std::size_t g : full) {
+          const std::ptrdiff_t r = map.full_to_reduced[g];
+          if (r < 0) continue;
+          const auto d = static_cast<std::size_t>(r);
           if (!seen[d]) {
             seen[d] = 1;
             sub_dofs[s].push_back(d);
@@ -233,21 +220,16 @@ SubstructureProblem prepare_substructures(
     for (const std::size_t e : partition.element_groups[s]) {
       const Element& element = model.elements[e];
       const la::DenseMatrix k = element_stiffness(model, element);
-      const std::size_t edof = element_dofs_per_node(element.type);
-      const std::size_t en = element.node_count() * edof;
-      std::vector<std::ptrdiff_t> reduced(en, -1);
-      for (std::size_t i = 0; i < element.node_count(); ++i)
-        for (std::size_t d = 0; d < edof; ++d)
-          reduced[i * edof + d] =
-              map.full_to_reduced[map.full_index(element.nodes[i], d)];
-
-      for (std::size_t r = 0; r < en; ++r) {
-        if (reduced[r] < 0) continue;
-        const std::size_t rd = static_cast<std::size_t>(reduced[r]);
+      element_full_dofs(element, map.dofs_per_node, full);
+      for (std::size_t r = 0; r < full.size(); ++r) {
+        const std::ptrdiff_t rr = map.full_to_reduced[full[r]];
+        if (rr < 0) continue;
+        const std::size_t rd = static_cast<std::size_t>(rr);
         const bool r_interior = local_i.contains(rd);
-        for (std::size_t c = 0; c < en; ++c) {
-          if (reduced[c] < 0) continue;
-          const std::size_t cd = static_cast<std::size_t>(reduced[c]);
+        for (std::size_t c = 0; c < full.size(); ++c) {
+          const std::ptrdiff_t rc = map.full_to_reduced[full[c]];
+          if (rc < 0) continue;
+          const std::size_t cd = static_cast<std::size_t>(rc);
           const bool c_interior = local_i.contains(cd);
           const double v = k(r, c);
           if (v == 0.0) continue;

@@ -1,12 +1,10 @@
 // Compressed sparse row storage.
 //
 // A CsrMatrix is numeric values over a SparsityPattern (row_ptr / col_idx)
-// held by shared_ptr, so matrices on one pattern copy no index data.  Two
+// held by shared_ptr, so copies of a matrix copy no index data.  Two
 // paths build one:
-//  * fem::assemble — symbolic, then numeric: a pattern plus a
-//    fem::AssemblyPlan of value offsets per element, then element
-//    contributions scattered straight into the value array.  This is the
-//    MiniFE-style split.
+//  * fem::assemble — the pattern from element connectivity first, then
+//    each element contribution added at SparsityPattern::find's offset.
 //  * TripletBuilder — one-shot: accumulate (row, col, value) triplets
 //    (duplicates sum, as element contributions do) and compress.
 #pragma once
@@ -23,8 +21,7 @@
 namespace fem2::la {
 
 /// Immutable CSR index structure: row pointers plus per-row sorted, unique
-/// column indices.  Shared (via shared_ptr) between every matrix assembled
-/// on the same mesh, so repeated numeric fills copy no index data.
+/// column indices, shared (via shared_ptr) between copies of a matrix.
 class SparsityPattern {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

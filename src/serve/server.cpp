@@ -1,29 +1,37 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string_view>
 
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace fem2::serve {
 
-unsigned Server::default_pool_width() {
-  if (const char* env = std::getenv("FEM2_HOST_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v >= 1 && v <= 256) return static_cast<unsigned>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 256u);
+namespace {
+
+/// `save <file>` and `open <file>` would let any tenant write, or read as
+/// a model, whatever path the server process can reach, so a served
+/// session answers them without running them.  The verb is the line's
+/// first whitespace-separated word, as Session::execute reads it.
+bool touches_host_files(std::string_view line) {
+  line = support::trim(line);
+  const std::string_view verb(line.begin(),
+                              std::ranges::find_if(line, support::is_space));
+  return verb == "save" || verb == "open";
 }
+
+}  // namespace
 
 Server::Server(std::shared_ptr<db::Engine> engine, ServerOptions options)
     : engine_(std::move(engine)),
       database_(engine_),
       options_(options),
       admission_(options.default_quota, options.admission_clock),
-      pool_width_(options.workers != 0 ? std::clamp(options.workers, 1u, 256u)
-                                       : default_pool_width()) {
+      pool_width_(std::clamp(options.workers != 0
+                                 ? options.workers
+                                 : std::thread::hardware_concurrency(),
+                             1u, 256u)) {
   FEM2_CHECK_MSG(engine_ != nullptr, "Server needs an engine");
   FEM2_CHECK_MSG(options_.queue_capacity >= 1,
                  "queue_capacity must admit at least one request");
@@ -201,7 +209,6 @@ void Server::enqueue_locked(const std::shared_ptr<SessionState>& state) {
   if (state->scheduled) return;  // already queued or owned by a worker
   state->scheduled = true;
   ready_.push_back(state);
-  ready_count_.fetch_add(1, std::memory_order_release);
   ready_cv_.notify_one();
 }
 
@@ -214,14 +221,6 @@ void Server::worker_main() {
 }
 
 std::shared_ptr<Server::SessionState> Server::next_ready() {
-  // An idle worker first spins with yield, for the common case of work
-  // arriving within a scheduling quantum, then parks on the condition
-  // variable so an idle server burns no cycles.
-  for (std::size_t spin = 0; spin < options_.spin_iterations; ++spin) {
-    if (stop_.load(std::memory_order_acquire)) return nullptr;
-    if (ready_count_.load(std::memory_order_acquire) > 0) break;
-    std::this_thread::yield();
-  }
   std::unique_lock lock(mutex_);
   ready_cv_.wait(lock, [&] {
     return stop_.load(std::memory_order_acquire) || !ready_.empty();
@@ -229,7 +228,6 @@ std::shared_ptr<Server::SessionState> Server::next_ready() {
   if (ready_.empty()) return nullptr;  // stopping
   auto state = ready_.front();
   ready_.pop_front();
-  ready_count_.fetch_sub(1, std::memory_order_release);
   return state;
 }
 
@@ -249,7 +247,13 @@ void Server::process_one(const std::shared_ptr<SessionState>& state) {
   // The actor invariant makes this safe without locks: `scheduled` stays
   // true from dequeue to requeue, so no other worker touches this
   // session's interpreter or workspace concurrently.
-  appvm::Response response = state->session.execute(request.line);
+  appvm::Response response =
+      touches_host_files(request.line)
+          ? appvm::Response{false,
+                            "save and open touch host files; a served "
+                            "session cannot run them",
+                            appvm::Response::FailureKind::Other}
+          : state->session.execute(request.line);
   request.done.set_value(std::move(response));
   admission_.complete_request(state->tenant);
 
@@ -260,7 +264,6 @@ void Server::process_one(const std::shared_ptr<SessionState>& state) {
     // More queued work: back of the ready line, still scheduled, so the
     // session's commands stay in submission order.
     ready_.push_back(state);
-    ready_count_.fetch_add(1, std::memory_order_release);
     ready_cv_.notify_one();
   } else {
     state->scheduled = false;

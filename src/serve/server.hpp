@@ -8,9 +8,9 @@
 // most one worker at a time, so its commands execute in submission order
 // with no locking inside the command interpreter.
 //
-// An idle worker spins briefly (with yield) on the ready count for
-// latency, then parks on a condition variable for the idle tail.  Pool
-// width honors FEM2_HOST_THREADS.
+// An idle worker parks on a condition variable until a session is ready.
+// A served session runs every appvm command but `save` and `open`, which
+// would reach the server host's files; both answer a failed Response.
 //
 // Admission control runs before anything is queued: per-tenant session,
 // inflight and rate quotas (admission.hpp) answer QuotaExceeded, and a
@@ -47,8 +47,7 @@
 namespace fem2::serve {
 
 struct ServerOptions {
-  /// Worker pool width; 0 = FEM2_HOST_THREADS, else hardware concurrency
-  /// (clamped to [1, 256]).
+  /// Worker pool width, clamped to [1, 256]; 0 = hardware concurrency.
   unsigned workers = 0;
   /// Global bound on queued requests across all sessions; a full queue
   /// answers Overloaded instead of buffering without limit.
@@ -57,9 +56,6 @@ struct ServerOptions {
   TenantQuota default_quota;
   /// Backoff schedule for call_with_retry.
   db::RetryPolicy retry_policy;
-  /// Ready-queue spins (with yield) before a worker parks on the
-  /// condition variable; the host engine's latency/burn trade-off.
-  std::size_t spin_iterations = 256;
   /// Clock for the admission token buckets; null = steady_clock (tests
   /// inject a fake to drive rate limits deterministically).
   AdmissionController::Clock admission_clock;
@@ -144,7 +140,6 @@ class Server {
         : id(id), tenant(tenant), session(database, user, tenant) {}
   };
 
-  static unsigned default_pool_width();
   void worker_main();
   std::shared_ptr<SessionState> next_ready();
   void process_one(const std::shared_ptr<SessionState>& state);
@@ -161,7 +156,6 @@ class Server {
   std::condition_variable drain_cv_;  ///< close_session / shutdown drains
   std::map<std::uint64_t, std::shared_ptr<SessionState>> sessions_;
   std::deque<std::shared_ptr<SessionState>> ready_;
-  std::atomic<std::size_t> ready_count_{0};  ///< workers spin on this
   std::atomic<bool> stop_{false};
   bool accepting_ = true;
   std::uint64_t next_session_ = 1;

@@ -748,5 +748,128 @@ TEST(FemAssembly, SparsityPatternMatchesSortedPairs) {
   }
 }
 
+
+/// fem::assemble as it was built before the one-pass fill: a symbolic plan
+/// of value offsets and rhs corrections per element, then a numeric pass
+/// that scatters each element matrix through it.
+namespace plan_oracle {
+
+struct MatrixScatter {
+  std::size_t local;
+  std::size_t offset;
+};
+struct RhsScatter {
+  std::size_t local;
+  std::size_t row;
+  double coeff;
+};
+
+AssembledSystem assemble(const StructureModel& model) {
+  model.validate();
+  const DofMap map = build_dof_map(model);
+  const auto pattern = build_sparsity_pattern(model, map);
+
+  std::vector<std::size_t> matrix_begin;
+  std::vector<MatrixScatter> matrix;
+  std::vector<std::size_t> rhs_begin;
+  std::vector<RhsScatter> rhs;
+  for (const auto& element : model.elements) {
+    matrix_begin.push_back(matrix.size());
+    rhs_begin.push_back(rhs.size());
+    const std::size_t edof = element_dofs_per_node(element.type);
+    std::vector<std::size_t> global(element.node_count() * edof);
+    for (std::size_t i = 0; i < element.node_count(); ++i)
+      for (std::size_t d = 0; d < edof; ++d)
+        global[i * edof + d] = map.full_index(element.nodes[i], d);
+    const std::size_t n = global.size();
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::ptrdiff_t rr = map.full_to_reduced[global[r]];
+      if (rr < 0) continue;
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::ptrdiff_t rc = map.full_to_reduced[global[c]];
+        if (rc >= 0) {
+          matrix.push_back({r * n + c,
+                            pattern->find(static_cast<std::size_t>(rr),
+                                          static_cast<std::size_t>(rc))});
+        } else if (const double uc = map.prescribed[global[c]]; uc != 0.0) {
+          rhs.push_back({r * n + c, static_cast<std::size_t>(rr), uc});
+        }
+      }
+    }
+  }
+  matrix_begin.push_back(matrix.size());
+  rhs_begin.push_back(rhs.size());
+
+  AssembledSystem system;
+  system.dofs = map;
+  system.rhs_correction.assign(map.free_dofs, 0.0);
+  std::vector<double> values(pattern->nonzeros(), 0.0);
+  for (std::size_t e = 0; e < model.elements.size(); ++e) {
+    const la::DenseMatrix k = element_stiffness(model, model.elements[e]);
+    const std::span<const double> kd = k.data();
+    for (std::size_t s = matrix_begin[e]; s < matrix_begin[e + 1]; ++s)
+      values[matrix[s].offset] += kd[matrix[s].local];
+    for (std::size_t s = rhs_begin[e]; s < rhs_begin[e + 1]; ++s)
+      system.rhs_correction[rhs[s].row] += kd[rhs[s].local] * rhs[s].coeff;
+  }
+  system.stiffness = la::CsrMatrix(pattern, std::move(values));
+  return system;
+}
+
+}  // namespace plan_oracle
+
+TEST(FemAssembly, OnePassMatchesTheTwoPassPlan) {
+  const auto sheet = [](std::size_t nx, std::size_t ny, ElementType type) {
+    PlateMeshOptions mesh;
+    mesh.nx = nx;
+    mesh.ny = ny;
+    mesh.width = static_cast<double>(nx) / 8.0;
+    mesh.height = static_cast<double>(ny) / 8.0;
+    mesh.element = type;
+    mesh.material.youngs_modulus = 70e9;
+    mesh.material.thickness = 0.005;
+    return make_cantilever_plate(mesh, 1'000.0);
+  };
+  TrussOptions truss;
+  truss.bays = 7;
+  FrameOptions frame;
+  frame.segments = 9;
+  PlateMeshOptions plate;
+  plate.nx = 12;
+  plate.ny = 6;
+  plate.material = soft_material();
+  StructureModel prescribed = make_cantilever_plate(plate, 5.0);
+  prescribed.add_constraint(plate_node(plate, 12, 0), 1, 0.01);
+  prescribed.add_constraint(plate_node(plate, 12, 6), 0, -0.005);
+  prescribed.add_constraint(plate_node(plate, 6, 6), 1, 0.003);
+
+  const std::pair<const char*, StructureModel> models[] = {
+      {"quad4 8x4", sheet(8, 4, ElementType::Quad4)},
+      {"quad4 16x8", sheet(16, 8, ElementType::Quad4)},
+      {"quad4 48x12", sheet(48, 12, ElementType::Quad4)},
+      {"tri3 48x12", sheet(48, 12, ElementType::Tri3)},
+      {"truss", make_truss_bridge(truss, 3.0)},
+      {"beam", make_cantilever_beam(frame, 5.0)},
+      {"prescribed plate", prescribed},
+  };
+  for (const auto& [name, model] : models) {
+    const AssembledSystem want = plan_oracle::assemble(model);
+    const AssembledSystem got = assemble(model);
+    EXPECT_TRUE(std::ranges::equal(got.stiffness.row_ptr(),
+                                   want.stiffness.row_ptr()))
+        << name;
+    EXPECT_TRUE(std::ranges::equal(got.stiffness.col_idx(),
+                                   want.stiffness.col_idx()))
+        << name;
+    EXPECT_TRUE(same_bits(got.stiffness.values(), want.stiffness.values()))
+        << name;
+    EXPECT_TRUE(same_bits(got.rhs_correction, want.rhs_correction)) << name;
+    EXPECT_EQ(got.dofs.full_to_reduced, want.dofs.full_to_reduced) << name;
+  }
+  // The prescribed values reach the right-hand side.
+  EXPECT_TRUE(std::ranges::any_of(assemble(prescribed).rhs_correction,
+                                  [](double v) { return v != 0.0; }));
+}
+
 }  // namespace
 }  // namespace fem2::fem

@@ -1,10 +1,12 @@
 // fem2-serve tests: admission control (session caps, inflight caps, a
 // deterministically-clocked token bucket), the actor-model scheduling
 // invariant (per-session FIFO order on a shared worker pool), overload
-// and shutdown behavior, the snapshot read path, and a concurrent
+// and shutdown behavior, the snapshot read path, the refusal of host-file
+// commands (save, open) in served sessions, and a concurrent
 // multi-tenant stress that the tsan CI job runs with a real pool.
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "appvm/command.hpp"
 #include "db/engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/server.hpp"
@@ -210,6 +213,43 @@ TEST(Serve, SessionCommandsExecuteInSubmissionOrder) {
     EXPECT_EQ(actual[i].revision, expected[i].revision);
     EXPECT_EQ(actual[i].bytes, expected[i].bytes) << "reordered at " << i;
   }
+}
+
+TEST(Serve, SessionsCannotReachHostFiles) {
+  namespace fs = std::filesystem;
+  const fs::path unwritten =
+      fs::path(::testing::TempDir()) / "fem2_serve_save_refused.txt";
+  const fs::path model_file =
+      fs::path(::testing::TempDir()) / "fem2_serve_open_refused.txt";
+  fs::remove(unwritten);
+  // A console session still writes model files.
+  appvm::Database local;
+  appvm::Session console(local);
+  ASSERT_TRUE(console.execute("mesh truss bays=3 load=50").ok);
+  ASSERT_TRUE(console.execute("save " + model_file.string()).ok);
+  ASSERT_TRUE(fs::exists(model_file));
+
+  Server server(memory_engine(), small_pool());
+  const auto opened = server.open_session("acme", "alice");
+  ASSERT_NE(opened.session, 0u);
+  ASSERT_TRUE(server.call(opened.session, "mesh plate nx=2 ny=2").ok);
+  const std::string before = server.call(opened.session, "show model").text;
+
+  for (const std::string& line :
+       {"save " + unwritten.string(), " \tsave " + unwritten.string()}) {
+    const Response saved = server.call(opened.session, line);
+    EXPECT_FALSE(saved.ok) << line;
+    EXPECT_EQ(saved.kind, Response::FailureKind::Other) << line;
+  }
+  EXPECT_FALSE(fs::exists(unwritten));
+
+  const Response read =
+      server.call(opened.session, "open " + model_file.string());
+  EXPECT_FALSE(read.ok);
+  EXPECT_EQ(read.kind, Response::FailureKind::Other);
+  // The workspace still holds the plate, not the file's truss.
+  EXPECT_EQ(server.call(opened.session, "show model").text, before);
+  fs::remove(model_file);
 }
 
 TEST(Serve, FullQueueAnswersOverloaded) {

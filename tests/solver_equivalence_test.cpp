@@ -8,8 +8,11 @@
 // preconditioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -274,25 +277,38 @@ TEST(SolverEquivalence, DistributedCgMatchesHostSolvers) {
 }
 
 TEST(SolverEquivalence, ParallelAssemblyBitwiseMatchesSerial) {
-  // The symbolic-pattern fill makes the host merge accumulate in exactly
-  // the serial element order: the assembled values must be bitwise equal.
+  // The host merge places each worker triplet with the serial path's
+  // constraint scatter, in the serial element order: the assembled values
+  // and the prescribed-value corrections must be bitwise equal.
   fem::PlateMeshOptions options;
   options.nx = 8;
   options.ny = 4;
   options.material = soft_material();
-  const auto model = fem::make_cantilever_plate(options, 5.0);
+  auto plain = fem::make_cantilever_plate(options, 5.0);
+  auto prescribed = plain;
+  prescribed.add_constraint(fem::plate_node(options, 8, 0), 1, 0.01);
+  prescribed.add_constraint(fem::plate_node(options, 8, 4), 0, -0.005);
+  prescribed.add_constraint(fem::plate_node(options, 4, 4), 1, 0.003);
 
-  const auto serial = fem::assemble(model);
-  Fem2Stack stack;
-  fem::register_assembly_tasks(stack.runtime);
-  const auto parallel = fem::assemble_parallel(model, stack.runtime, 4);
+  const auto same_bits = [](std::span<const double> a,
+                            std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (const auto* model : {&plain, &prescribed}) {
+    const auto serial = fem::assemble(*model);
+    Fem2Stack stack;
+    fem::register_assembly_tasks(stack.runtime);
+    const auto parallel = fem::assemble_parallel(*model, stack.runtime, 4);
 
-  ASSERT_EQ(parallel.stiffness.nonzeros(), serial.stiffness.nonzeros());
-  for (std::size_t i = 0; i < serial.stiffness.values().size(); ++i)
-    EXPECT_EQ(parallel.stiffness.values()[i], serial.stiffness.values()[i]);
-  ASSERT_EQ(parallel.rhs_correction.size(), serial.rhs_correction.size());
-  for (std::size_t i = 0; i < serial.rhs_correction.size(); ++i)
-    EXPECT_EQ(parallel.rhs_correction[i], serial.rhs_correction[i]);
+    EXPECT_TRUE(std::ranges::equal(parallel.stiffness.col_idx(),
+                                   serial.stiffness.col_idx()));
+    EXPECT_TRUE(
+        same_bits(parallel.stiffness.values(), serial.stiffness.values()));
+    EXPECT_TRUE(same_bits(parallel.rhs_correction, serial.rhs_correction));
+  }
+  EXPECT_TRUE(std::ranges::any_of(fem::assemble(prescribed).rhs_correction,
+                                  [](double v) { return v != 0.0; }));
 }
 
 }  // namespace
