@@ -89,6 +89,20 @@ fem::ElementType element_from_name(const std::string& name) {
   throw CommandError("unknown element type '" + name + "'");
 }
 
+/// Whether a grid of (cols + 1) x (rows + 1) nodes stays within
+/// Session::kMaxMeshNodes.  Each factor is bounded before the product is
+/// formed, so no size can wrap around.
+bool grid_within_limit(std::size_t cols, std::size_t rows) {
+  constexpr std::size_t limit = Session::kMaxMeshNodes;
+  return cols < limit && rows < limit && (cols + 1) * (rows + 1) <= limit;
+}
+
+Response mesh_too_large(const std::string& what) {
+  return {false, "mesh " + what + " needs more than " +
+                     std::to_string(Session::kMaxMeshNodes) +
+                     " nodes (the mesh size limit)"};
+}
+
 }  // namespace
 
 Session::Session(Database& database, std::string user, std::string tenant)
@@ -270,6 +284,9 @@ Response Session::cmd_mesh(const std::vector<std::string>& tokens) {
     fem::PlateMeshOptions po;
     po.nx = opts.index("nx", po.nx);
     po.ny = opts.index("ny", po.ny);
+    if (!grid_within_limit(po.nx, po.ny))
+      return mesh_too_large("plate nx=" + std::to_string(po.nx) +
+                            " ny=" + std::to_string(po.ny));
     po.width = opts.number("width", po.width);
     po.height = opts.number("height", po.height);
     if (opts.flag("tri")) po.element = fem::ElementType::Tri3;
@@ -285,6 +302,8 @@ Response Session::cmd_mesh(const std::vector<std::string>& tokens) {
   if (tokens[1] == "beam") {
     fem::FrameOptions fo;
     fo.segments = opts.index("segments", fo.segments);
+    if (!grid_within_limit(fo.segments, 0))
+      return mesh_too_large("beam segments=" + std::to_string(fo.segments));
     fo.length = opts.number("length", fo.length);
     const double load = opts.number("load", 1.0);
     workspace_.set_model(fem::make_cantilever_beam(fo, load));
@@ -295,6 +314,8 @@ Response Session::cmd_mesh(const std::vector<std::string>& tokens) {
   if (tokens[1] == "truss") {
     fem::TrussOptions to;
     to.bays = opts.index("bays", to.bays);
+    if (!grid_within_limit(to.bays, 1))
+      return mesh_too_large("truss bays=" + std::to_string(to.bays));
     to.bay_width = opts.number("bay-width", to.bay_width);
     to.height = opts.number("height", to.height);
     const double load = opts.number("load", 1.0);

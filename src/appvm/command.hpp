@@ -86,6 +86,12 @@ class Session {
   /// Command language reference (the `help` command's output).
   static std::string help_text();
 
+  /// Most nodes one `mesh` command may generate, in console and served
+  /// sessions alike.  The count is checked before anything is built, so a
+  /// size such as `mesh plate nx=100000 ny=100000` fails at once and
+  /// leaves the workspace model as it was.
+  static constexpr std::size_t kMaxMeshNodes = 10'000;
+
  private:
   Response dispatch(const std::vector<std::string>& tokens);
 

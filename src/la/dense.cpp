@@ -16,16 +16,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return m;
 }
 
-double& DenseMatrix::operator()(std::size_t r, std::size_t c) {
-  FEM2_CHECK(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double DenseMatrix::operator()(std::size_t r, std::size_t c) const {
-  FEM2_CHECK(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 std::span<double> DenseMatrix::row(std::size_t r) {
   FEM2_CHECK(r < rows_);
   return {data_.data() + r * cols_, cols_};

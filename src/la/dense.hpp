@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "la/vec_ops.hpp"
+#include "support/check.hpp"
 
 namespace fem2::la {
 
@@ -21,8 +22,15 @@ class DenseMatrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Inline: element-matrix loops in fem read one entry per call.
+  double& operator()(std::size_t r, std::size_t c) {
+    FEM2_CHECK(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    FEM2_CHECK(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   std::span<double> row(std::size_t r);
   std::span<const double> row(std::size_t r) const;

@@ -69,16 +69,62 @@ void SkylineMatrix::factorize() {
   FEM2_CHECK_MSG(!factorized_, "factorize called twice");
   const std::size_t n = size();
   // Column-oriented Crout/Cholesky inside the profile:
-  //   L(i,j) = (A(i,j) - Σ_k L(i,k) L(j,k)) / L(j,j),  k in overlap
+  //   L(j,i) = (A(i,j) - Σ_k L(i,k) L(j,k)) / L(i,i),  k in overlap
   // L(i,k) is entry (k, i) of the stored upper profile, so both factors
   // are unit-stride walks down columns i and j.
+  //
+  // Row i's sum needs L(j,k) for every k < i, so one row at a time a
+  // column is one chain of dependent subtractions and divisions.  Rows
+  // i..i+3 < j run as a block instead: each first takes its own terms
+  // below kc, the first k all four share; one walk down column j then
+  // feeds four independent sums; last, row i+r adds its k = i..i+r-1
+  // terms as L(j, i..i+2) come out.  Each sum still runs in ascending k,
+  // so every bit is the row-at-a-time loop's.
+  const std::size_t* first = first_row_.data();
   for (std::size_t j = 0; j < n; ++j) {
     double* cj = column(j);
-    for (std::size_t i = first_row_[j]; i <= j; ++i) {
+    std::size_t i = first[j];
+    for (; i + 4 <= j; i += 4) {
+      const double* c0 = column(i);
+      const double* c1 = column(i + 1);
+      const double* c2 = column(i + 2);
+      const double* c3 = column(i + 3);
+      // Row i+r's terms start at k = b_r; first[j] <= i, so b_r <= i
+      // unless row i+r's own profile starts inside the block.
+      const std::size_t b0 = std::max(first[j], first[i]);
+      const std::size_t b1 = std::max(first[j], first[i + 1]);
+      const std::size_t b2 = std::max(first[j], first[i + 2]);
+      const std::size_t b3 = std::max(first[j], first[i + 3]);
+      const std::size_t kc = std::min(i, std::max({b0, b1, b2, b3}));
+      double s0 = cj[i], s1 = cj[i + 1], s2 = cj[i + 2], s3 = cj[i + 3];
+      for (std::size_t k = b0; k < kc; ++k) s0 -= c0[k] * cj[k];
+      for (std::size_t k = b1; k < kc; ++k) s1 -= c1[k] * cj[k];
+      for (std::size_t k = b2; k < kc; ++k) s2 -= c2[k] * cj[k];
+      for (std::size_t k = b3; k < kc; ++k) s3 -= c3[k] * cj[k];
+      for (std::size_t k = kc; k < i; ++k) {
+        const double ljk = cj[k];
+        s0 -= c0[k] * ljk;
+        s1 -= c1[k] * ljk;
+        s2 -= c2[k] * ljk;
+        s3 -= c3[k] * ljk;
+      }
+      cj[i] = s0 / c0[i];
+      if (b1 <= i) s1 -= c1[i] * cj[i];
+      cj[i + 1] = s1 / c1[i + 1];
+      if (b2 <= i) s2 -= c2[i] * cj[i];
+      if (b2 <= i + 1) s2 -= c2[i + 1] * cj[i + 1];
+      cj[i + 2] = s2 / c2[i + 2];
+      if (b3 <= i) s3 -= c3[i] * cj[i];
+      if (b3 <= i + 1) s3 -= c3[i + 1] * cj[i + 1];
+      if (b3 <= i + 2) s3 -= c3[i + 2] * cj[i + 2];
+      cj[i + 3] = s3 / c3[i + 3];
+    }
+    // The rows left over, then the diagonal.
+    for (; i <= j; ++i) {
       const double* ci = column(i);
       double sum = cj[i];
-      const std::size_t k_begin = std::max(first_row_[j], first_row_[i]);
-      for (std::size_t k = k_begin; k < i; ++k) sum -= ci[k] * cj[k];
+      for (std::size_t k = std::max(first[j], first[i]); k < i; ++k)
+        sum -= ci[k] * cj[k];
       if (i == j) {
         if (sum <= 0.0) {
           throw support::Error(

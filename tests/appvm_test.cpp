@@ -188,6 +188,44 @@ TEST(Session, ErrorsAreResponsesNotExceptions) {
   EXPECT_FALSE(session.execute("stresses").ok);  // nothing solved
 }
 
+/// Mesh sizes far beyond Session::kMaxMeshNodes: a plate whose node count
+/// overflows 64 bits, one of 10^10 nodes, and a beam and a truss of
+/// 10^12 segments and bays.  Each must fail before anything is built.
+const char* const kOversizedMeshes[] = {
+    "mesh plate nx=4294967296 ny=4294967296",
+    "mesh plate nx=100000 ny=100000",
+    "mesh beam segments=1000000000000",
+    "mesh truss bays=1000000000000",
+};
+
+TEST(Session, MeshAboveTheNodeLimitFailsAndKeepsTheModel) {
+  Database db;
+  Session session(db);
+  ASSERT_TRUE(session.execute("mesh truss bays=3 load=50").ok);
+  const std::string before = session.execute("show model").text;
+  std::vector<std::string> lines(std::begin(kOversizedMeshes),
+                                 std::end(kOversizedMeshes));
+  // One node past the limit, for each kind.
+  lines.insert(lines.end(), {"mesh plate nx=100 ny=99",
+                             "mesh beam segments=10000",
+                             "mesh truss bays=5000"});
+  for (const auto& line : lines) {
+    const Response r = session.execute(line);
+    EXPECT_FALSE(r.ok) << line;
+    EXPECT_EQ(r.kind, Response::FailureKind::Other) << line;
+    EXPECT_NE(r.text.find(std::to_string(Session::kMaxMeshNodes)),
+              std::string::npos)
+        << r.text;
+    EXPECT_EQ(session.execute("show model").text, before) << line;
+  }
+  // Exactly at the limit every kind still meshes.
+  for (const char* line : {"mesh plate nx=99 ny=99", "mesh beam segments=9999",
+                           "mesh truss bays=4999"}) {
+    const Response r = session.execute(line);
+    EXPECT_TRUE(r.ok) << line << ": " << r.text;
+  }
+}
+
 TEST(Session, CommentsAndBlanksIgnored) {
   Database db;
   Session session(db);

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "fem/assembly.hpp"
 #include "fem/mesh.hpp"
@@ -717,6 +720,279 @@ TEST(BitIdentity, SkylineMatchesCroutThroughValueAt) {
 TEST(BitIdentity, SkylineMatchesOnTheSheet) {
   const auto [a, b] = sheet_system(48, 12);
   expect_skyline_matches(a, b, "48x12 sheet");
+}
+
+// --- the two-sweep schedule and the row-blocked Crout -----------------------
+//
+// Relaxation overlaps sweep s's rows [0, h) with sweep s-1's rows [h, n),
+// where h = max(u + 1, ceil(n / 2)) and u is the upper bandwidth, so only a
+// matrix with u well below n exercises the overlap; random_sparse_spd's u
+// is close to n.  The cases below pin each side of the lag and the row
+// shapes the split row body has to get right.
+
+/// The upper bandwidth of a square CSR matrix.
+std::size_t upper_bandwidth(const CsrMatrix& a) {
+  std::size_t u = 0;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    std::span<const std::size_t> cols;
+    std::span<const double> vals;
+    a.row(r, cols, vals);
+    if (!cols.empty() && cols.back() > r) u = std::max(u, cols.back() - r);
+  }
+  return u;
+}
+
+/// Symmetric random entries with |i - j| <= w, each present with
+/// probability 0.7 (so row lengths before the diagonal are mixed odd and
+/// even) and (0, w) always, over a dominant diagonal: upper bandwidth w.
+DenseMatrix random_band(std::size_t n, std::size_t w, support::Rng& rng) {
+  DenseMatrix off(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n && j <= i + w; ++j)
+      if ((i == 0 && j == w) || rng.chance(0.7))
+        off(i, j) = off(j, i) = rng.uniform(-1.0, 1.0);
+  return off;
+}
+
+CsrMatrix random_banded_spd(std::size_t n, std::size_t w, std::uint64_t seed) {
+  support::Rng rng(seed);
+  const DenseMatrix off = random_band(n, w, rng);
+  return with_dominant_diagonal(off, rng);
+}
+
+struct Band {
+  std::size_t n;
+  std::size_t w;
+};
+
+/// Odd and even n, with u + 1 below, at and above ceil(n / 2), and a
+/// bandwidth of 1 and of n - 1.
+constexpr Band kBands[] = {{40, 12}, {40, 19}, {40, 26}, {41, 13},
+                           {41, 20}, {41, 27}, {41, 1},  {40, 39}};
+
+/// Caps that stop the schedule after its first, second and third sweep.
+const StopCase kCapCases[] = {{"max_iterations=1", 1e-14, 1, false},
+                              {"max_iterations=2", 1e-14, 2, false},
+                              {"max_iterations=3", 1e-14, 3, false}};
+
+/// Every stop case and cap, then every early sweep, against the oracle.
+void expect_relaxation_matches(
+    SolveResult (*solver)(const CsrMatrix&, std::span<const double>,
+                          const SolveOptions&),
+    SolveResult (*before_solver)(const CsrMatrix&, std::span<const double>,
+                                 const SolveOptions&, std::vector<double>*),
+    const CsrMatrix& a, const SolveOptions& base, const std::string& what) {
+  const std::size_t n = a.rows();
+  std::vector<StopCase> stops(std::begin(kStopCases), std::end(kStopCases));
+  stops.insert(stops.end(), std::begin(kCapCases), std::end(kCapCases));
+  for (const auto& stop : stops) {
+    const Vector b = stop.zero_rhs ? Vector(n, 0.0) : random_rhs(n, n + 7);
+    SolveOptions options = base;
+    options.tolerance = stop.tolerance;
+    options.max_iterations = stop.max_iterations;
+    expect_same_result(solver(a, b, options),
+                       before_solver(a, b, options, nullptr),
+                       what + " " + stop.name);
+  }
+  expect_same_at_every_sweep(solver, before_solver, a, random_rhs(n, n + 7),
+                             base, what);
+}
+
+TEST(BitIdentity, RelaxationMatchesOnBandedMatrices) {
+  for (const auto& [n, w] : kBands) {
+    const auto a = random_banded_spd(n, w, 500 + 100 * n + w);
+    ASSERT_EQ(upper_bandwidth(a), w);
+    const auto what = "n=" + std::to_string(n) + " w=" + std::to_string(w);
+    for (const double omega : {1.0, 1.5}) {
+      SolveOptions options;
+      options.sor_omega = omega;
+      expect_relaxation_matches(sor, before::sor, a, options,
+                                what + " omega=" + std::to_string(omega));
+    }
+    expect_relaxation_matches(jacobi, before::jacobi, a, {}, what + " jacobi");
+  }
+}
+
+/// A banded matrix whose listed rows keep only their diagonal and lower
+/// entries, only their diagonal and upper entries, or only the diagonal;
+/// every row stays strictly dominant, so both relaxations converge.
+CsrMatrix banded_with_row_shapes(std::size_t n, std::size_t w,
+                                 const std::vector<std::size_t>& lower_only,
+                                 const std::vector<std::size_t>& upper_only,
+                                 const std::vector<std::size_t>& diag_only,
+                                 std::uint64_t seed) {
+  support::Rng rng(seed);
+  const DenseMatrix off = random_band(n, w, rng);
+  const auto listed = [](const std::vector<std::size_t>& rows, std::size_t i) {
+    return std::find(rows.begin(), rows.end(), i) != rows.end();
+  };
+  TripletBuilder tb(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool keep_lower = !listed(upper_only, i) && !listed(diag_only, i);
+    const bool keep_upper = !listed(lower_only, i) && !listed(diag_only, i);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i || off(i, j) == 0.0) continue;
+      if (j < i ? !keep_lower : !keep_upper) continue;
+      sum += std::abs(off(i, j));
+      tb.add(i, j, off(i, j));
+    }
+    tb.add(i, i, sum + rng.uniform(0.5, 1.5));
+  }
+  return tb.build();
+}
+
+TEST(BitIdentity, RelaxationMatchesOnEveryRowShape) {
+  // n = 41 and w = 6 give h = 21: rows on both sides of the lag take each
+  // shape, and row 0 and row 40 have no lower or no upper entries anyway.
+  const auto a =
+      banded_with_row_shapes(41, 6, {3, 21, 30}, {4, 20, 33}, {7, 26}, 71);
+  for (const double omega : {1.0, 1.5}) {
+    SolveOptions options;
+    options.sor_omega = omega;
+    expect_relaxation_matches(sor, before::sor, a, options,
+                              "omega=" + std::to_string(omega));
+  }
+  expect_relaxation_matches(jacobi, before::jacobi, a, {}, "jacobi");
+}
+
+/// Removes every entry of `row` that `drop(col)` selects.
+CsrMatrix without_entries(const CsrMatrix& a, std::size_t row,
+                          bool (*drop)(std::size_t row, std::size_t col)) {
+  TripletBuilder tb(a.rows(), a.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    std::span<const std::size_t> cols;
+    std::span<const double> vals;
+    a.row(r, cols, vals);
+    for (std::size_t k = 0; k < cols.size(); ++k)
+      if (r != row || !drop(r, cols[k])) tb.add(r, cols[k], vals[k]);
+  }
+  return tb.build();
+}
+
+TEST(BitIdentity, RelaxationZeroDiagonalOnEitherSideOfTheLag) {
+  // n = 41 and w = 6 give h = 21.  A row without a diagonal fails the
+  // first sweep that must run, wherever the row falls against h and
+  // whatever else the row holds; an x⁰ the tolerance accepts, b = 0 and
+  // max_iterations = 0 never sweep, and match the oracle.
+  const auto banded = random_banded_spd(41, 6, 77);
+  using Drop = bool (*)(std::size_t, std::size_t);
+  const std::pair<const char*, Drop> shapes[] = {
+      {"lower and upper", [](std::size_t r, std::size_t c) { return c == r; }},
+      {"only lower", [](std::size_t r, std::size_t c) { return c >= r; }},
+      {"only upper", [](std::size_t r, std::size_t c) { return c <= r; }},
+      {"no entries", [](std::size_t, std::size_t) { return true; }}};
+  for (const std::size_t row : {std::size_t{5}, std::size_t{20},
+                                std::size_t{21}, std::size_t{34}}) {
+    for (const auto& [shape, drop] : shapes) {
+      const auto a = without_entries(banded, row, drop);
+      ASSERT_EQ(a.value_at(row, row), 0.0);
+      const Vector b = random_rhs(41, row);
+      for (const auto& [name, solver, before_solver] :
+           {std::tuple{"sor", &sor, &before::sor},
+            std::tuple{"jacobi", &jacobi, &before::jacobi}}) {
+        const auto what = std::string(name) + " row " + std::to_string(row) +
+                          " " + shape;
+        for (const std::size_t cap : {1u, 2u, 100u}) {
+          SolveOptions options;
+          options.max_iterations = cap;
+          EXPECT_THROW(solver(a, b, options), support::CheckError) << what;
+        }
+        SolveOptions accepts;
+        accepts.tolerance = 1.0;
+        expect_same_result(solver(a, b, accepts),
+                           before_solver(a, b, accepts, nullptr),
+                           what + " tol=1");
+        SolveOptions none;
+        none.max_iterations = 0;
+        expect_same_result(solver(a, b, none),
+                           before_solver(a, b, none, nullptr),
+                           what + " max_iterations=0");
+        const Vector zero(41, 0.0);
+        expect_same_result(solver(a, zero, {}),
+                           before_solver(a, zero, {}, nullptr),
+                           what + " b=0");
+      }
+    }
+  }
+}
+
+/// Random symmetric profile: column j's height is drawn up to
+/// max_height, except that every column with j % short_every == 3 holds
+/// only its diagonal, so a block of rows inside a taller column can hold
+/// a row whose own profile starts at or after the block's first row.
+DenseMatrix random_profile(std::size_t n, std::size_t max_height,
+                           std::size_t short_every, support::Rng& rng) {
+  DenseMatrix off(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j % short_every == 3) continue;
+    const std::size_t height = rng.next_below(max_height + 1);
+    for (std::size_t i = j - std::min(j, height); i < j; ++i)
+      off(i, j) = off(j, i) = rng.uniform(-1.0, 1.0);
+  }
+  return off;
+}
+
+TEST(BitIdentity, SkylineMatchesOnTallProfiles) {
+  // Column heights up to 40, so blocks of four rows start their own terms
+  // at different k, and columns of height 1 every few columns (every 5th,
+  // 7th, 9th), so a block can hold a row whose profile starts inside it.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    support::Rng rng(1000 + seed);
+    const std::size_t n = 60 + 7 * seed;
+    const DenseMatrix off = random_profile(n, 40, 3 + 2 * (seed % 3), rng);
+    expect_skyline_matches(with_dominant_diagonal(off, rng),
+                           random_rhs(n, seed), "seed " + std::to_string(seed));
+  }
+}
+
+TEST(BitIdentity, SkylineNotPositiveDefiniteAfterBlockedRows) {
+  // Column 37's pivot goes negative; its tall profile has run blocks of
+  // four rows before the diagonal is reached.  The message names the
+  // column, and every entry computed before the failure matches the oracle.
+  constexpr std::size_t n = 50;
+  constexpr std::size_t bad = 37;
+  support::Rng rng(9);
+  DenseMatrix off = random_profile(n, 30, 5, rng);
+  for (std::size_t i = bad - 20; i < bad; ++i)
+    off(i, bad) = off(bad, i) = rng.uniform(0.5, 1.0);
+  TripletBuilder tb(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i || off(i, j) == 0.0) continue;
+      sum += std::abs(off(i, j));
+      tb.add(i, j, off(i, j));
+    }
+    tb.add(i, i, i == bad ? 1e-3 : sum + rng.uniform(0.5, 1.5));
+  }
+  const auto a = tb.build();
+
+  auto got = SkylineMatrix::from_csr(a);
+  try {
+    got.factorize();
+    FAIL() << "factorize accepted an indefinite matrix";
+  } catch (const support::Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "skyline Cholesky: matrix not positive definite at column 37");
+  }
+  EXPECT_FALSE(got.factorized());
+
+  const auto first = before::envelope(a);
+  SkylineMatrix want(first);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::span<const std::size_t> cols;
+    std::span<const double> vals;
+    a.row(r, cols, vals);
+    for (std::size_t k = 0; k < cols.size(); ++k)
+      if (cols[k] >= r) want.at(r, cols[k]) = vals[k];
+  }
+  before::skyline_solve(want, first, Vector(n, 1.0));
+  for (std::size_t j = 0; j <= bad; ++j)
+    for (std::size_t i = first[j]; i < j || (i == j && j < bad); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value_at(i, j)),
+                std::bit_cast<std::uint64_t>(want.value_at(i, j)))
+          << "L(" << j << ", " << i << ")";
 }
 
 }  // namespace

@@ -252,6 +252,29 @@ TEST(Serve, SessionsCannotReachHostFiles) {
   fs::remove(model_file);
 }
 
+TEST(Serve, OversizedMeshFailsBeforeBuilding) {
+  // Served sessions share the console's mesh size limit: sizes far beyond
+  // it (one overflows 64 bits) fail before any model is built, and the
+  // session's workspace keeps its model.
+  Server server(memory_engine(), small_pool());
+  const auto opened = server.open_session("acme", "alice");
+  ASSERT_NE(opened.session, 0u);
+  ASSERT_TRUE(server.call(opened.session, "mesh truss bays=3 load=50").ok);
+  const std::string before = server.call(opened.session, "show model").text;
+  for (const char* line : {"mesh plate nx=4294967296 ny=4294967296",
+                           "mesh plate nx=100000 ny=100000",
+                           "mesh beam segments=1000000000000",
+                           "mesh truss bays=1000000000000"}) {
+    const Response r = server.call(opened.session, line);
+    EXPECT_FALSE(r.ok) << line;
+    EXPECT_EQ(r.kind, Response::FailureKind::Other) << line;
+    EXPECT_NE(r.text.find(std::to_string(appvm::Session::kMaxMeshNodes)),
+              std::string::npos)
+        << r.text;
+    EXPECT_EQ(server.call(opened.session, "show model").text, before) << line;
+  }
+}
+
 TEST(Serve, FullQueueAnswersOverloaded) {
   auto engine = memory_engine();
   ServerOptions options = small_pool(1);
