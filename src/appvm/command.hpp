@@ -89,8 +89,9 @@ class Session {
   /// Most nodes one `mesh` command may generate, in console and served
   /// sessions alike.  The count is checked before anything is built, so a
   /// size such as `mesh plate nx=100000 ny=100000` fails at once and
-  /// leaves the workspace model as it was.
-  static constexpr std::size_t kMaxMeshNodes = 10'000;
+  /// leaves the workspace model as it was.  E1's largest sheet, 96x24,
+  /// has 2,425 nodes.
+  static constexpr std::size_t kMaxMeshNodes = 2'500;
 
  private:
   Response dispatch(const std::vector<std::string>& tokens);

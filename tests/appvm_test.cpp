@@ -206,9 +206,9 @@ TEST(Session, MeshAboveTheNodeLimitFailsAndKeepsTheModel) {
   std::vector<std::string> lines(std::begin(kOversizedMeshes),
                                  std::end(kOversizedMeshes));
   // One node past the limit, for each kind.
-  lines.insert(lines.end(), {"mesh plate nx=100 ny=99",
-                             "mesh beam segments=10000",
-                             "mesh truss bays=5000"});
+  lines.insert(lines.end(), {"mesh plate nx=50 ny=49",
+                             "mesh beam segments=2500",
+                             "mesh truss bays=1250"});
   for (const auto& line : lines) {
     const Response r = session.execute(line);
     EXPECT_FALSE(r.ok) << line;
@@ -219,8 +219,8 @@ TEST(Session, MeshAboveTheNodeLimitFailsAndKeepsTheModel) {
     EXPECT_EQ(session.execute("show model").text, before) << line;
   }
   // Exactly at the limit every kind still meshes.
-  for (const char* line : {"mesh plate nx=99 ny=99", "mesh beam segments=9999",
-                           "mesh truss bays=4999"}) {
+  for (const char* line : {"mesh plate nx=49 ny=49", "mesh beam segments=2499",
+                           "mesh truss bays=1249"}) {
     const Response r = session.execute(line);
     EXPECT_TRUE(r.ok) << line << ": " << r.text;
   }

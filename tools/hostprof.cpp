@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 
 namespace {
 
@@ -71,8 +70,10 @@ __attribute__((destructor)) void write_dump() {
   const std::size_t kept = std::min(taken, kMaxSamples);
   std::sort(g_samples, g_samples + kept);
 
-  const std::string path = "hostprof." + std::to_string(getpid()) + ".txt";
-  std::FILE* out = std::fopen(path.c_str(), "w");
+  char path[64];
+  std::snprintf(path, sizeof path, "hostprof.%ld.txt",
+                static_cast<long>(getpid()));
+  std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) return;
   std::fputs("hostprof 1\nmaps\n", out);
   if (std::FILE* maps = std::fopen("/proc/self/maps", "r")) {
@@ -92,7 +93,7 @@ __attribute__((destructor)) void write_dump() {
     i = j;
   }
   std::fclose(out);
-  std::fprintf(stderr, "hostprof: %zu samples in %s\n", kept, path.c_str());
+  std::fprintf(stderr, "hostprof: %zu samples in %s\n", kept, path);
 }
 
 }  // namespace
