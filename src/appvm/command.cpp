@@ -103,6 +103,17 @@ Response mesh_too_large(const std::string& what) {
                      " nodes (the mesh size limit)"};
 }
 
+/// Refusal for a command that would densify a model of `dofs` dofs, or
+/// nullopt when `dofs` is within Session::kMaxDenseDofs.
+std::optional<Response> dense_too_large(const std::string& what,
+                                        std::size_t dofs) {
+  if (dofs <= Session::kMaxDenseDofs) return std::nullopt;
+  return Response{false, what + " needs a dense matrix of the model's " +
+                             std::to_string(dofs) + " dofs, more than " +
+                             std::to_string(Session::kMaxDenseDofs) +
+                             " (the dense solver limit)"};
+}
+
 }  // namespace
 
 Session::Session(Database& database, std::string user, std::string tenant)
@@ -340,6 +351,10 @@ Response Session::cmd_solve(const std::vector<std::string>& tokens) {
       return {false, "unexpected token '" + tokens[i] + "'"};
     }
   }
+  if (options.kind == fem::SolverKind::DenseCholesky)
+    if (auto refused = dense_too_large("solve using cholesky",
+                                       workspace_.model().total_dofs()))
+      return *refused;
   fem::AnalysisResult results = fem::analyze(workspace_.model(), load_set,
                                              options);
   std::ostringstream os;
@@ -357,6 +372,8 @@ Response Session::cmd_modes(const std::vector<std::string>& tokens) {
   if (tokens.size() > 2) return {false, "usage: modes [count]"};
   const std::size_t count = tokens.size() == 2 ? to_index(tokens[1]) : 4;
   if (count == 0) return {false, "mode count must be positive"};
+  if (auto refused = dense_too_large("modes", workspace_.model().total_dofs()))
+    return *refused;
   const auto modal = fem::modal_analysis(workspace_.model(), count);
   std::ostringstream os;
   os << "natural frequencies";

@@ -93,6 +93,15 @@ class Session {
   /// has 2,425 nodes.
   static constexpr std::size_t kMaxMeshNodes = 2'500;
 
+  /// Most model dofs (nodes x dofs per node) that `solve ... using
+  /// cholesky` and `modes` accept, in console and served sessions alike.
+  /// Both densify the reduced stiffness, so a limit of n dofs bounds each
+  /// dense copy at 8n^2 bytes (18 MB) and the factorization at n^3/3
+  /// flops.  The count is checked before anything is assembled; a refused
+  /// command leaves the workspace model and results as they were.  The
+  /// 48x12 sheet has 1,274 dofs.
+  static constexpr std::size_t kMaxDenseDofs = 1'500;
+
  private:
   Response dispatch(const std::vector<std::string>& tokens);
 

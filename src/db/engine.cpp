@@ -57,16 +57,11 @@ void Engine::open_locked() {
   const std::string wal_path = options_.directory + "/wal.f2db";
 
   // Phase 1: the last checkpoint.
-  if (const auto snapshot = load_snapshot(*vfs_, snapshot_path_)) {
+  if (auto snapshot = load_snapshot(*vfs_, snapshot_path_)) {
     next_txn_ = snapshot->next_txn;
-    for (const auto& chain : snapshot->chains) {
-      Chain loaded;
-      loaded.versions.reserve(chain.versions.size());
-      for (const auto& v : chain.versions)
-        loaded.versions.push_back(
-            Version{v.revision, v.deleted, v.txn, v.kind, v.value});
-      objects_.emplace(chain.name, std::move(loaded));
-    }
+    for (auto& chain : snapshot->chains)
+      objects_.emplace(std::move(chain.name),
+                       Chain{std::move(chain.versions)});
     stats_.recovered_snapshot = true;
   }
 
@@ -645,20 +640,15 @@ std::size_t Engine::size() const {
 
 void Engine::checkpoint_locked() {
   if (!wal_) return;  // nothing to compact in memory mode
-  SnapshotData data;
-  data.next_txn = next_txn_;
-  data.chains.reserve(objects_.size());
-  for (const auto& [name, chain] : objects_) {
-    SnapshotChain out;
-    out.name = name;
-    out.versions.reserve(chain.versions.size());
-    for (const auto& v : chain.versions)
-      out.versions.push_back(
-          SnapshotVersion{v.revision, v.deleted, v.txn, v.kind, v.value});
-    data.chains.push_back(std::move(out));
-  }
+  // Encode the chains in place: a copy would double the checkpoint's
+  // peak memory by the size of the whole store.
+  SnapshotView view;
+  view.next_txn = next_txn_;
+  view.chains.reserve(objects_.size());
+  for (const auto& [name, chain] : objects_)
+    view.chains.push_back({name, chain.versions});
   try {
-    write_snapshot(*vfs_, snapshot_path_, data);
+    write_snapshot(*vfs_, snapshot_path_, view);
   } catch (const IoError&) {
     // Nothing published yet: the previous snapshot and the intact log
     // still recover everything, so the engine stays healthy.

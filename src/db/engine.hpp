@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "db/health.hpp"
+#include "db/snapshot.hpp"
 #include "db/wal.hpp"
 
 namespace fem2::db {
@@ -245,13 +246,9 @@ class Engine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  struct Version {
-    std::uint64_t revision = 0;
-    bool deleted = false;
-    std::uint64_t txn = 0;
-    std::string kind;
-    std::string value;
-  };
+  /// A version is stored as the snapshot encodes it, so a checkpoint
+  /// encodes the chains in place.
+  using Version = SnapshotVersion;
   struct Chain {
     std::vector<Version> versions;  ///< ascending revision, trimmed window
   };

@@ -18,7 +18,7 @@ constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kMinChainBytes = 4 + 8;
 constexpr std::size_t kMinVersionBytes = 8 + 1 + 8 + 4 + 4;
 
-std::string encode(const SnapshotData& data) {
+std::string encode(const SnapshotView& data) {
   // Header, payload and CRC trailer go into one buffer sized up front: a
   // snapshot holds every stored value, so each extra copy of it would
   // raise the checkpoint's peak memory by the size of the whole store.
@@ -105,9 +105,18 @@ SnapshotData decode(std::string_view bytes, const std::string& path) {
 
 }  // namespace
 
+SnapshotView SnapshotData::view() const {
+  SnapshotView out;
+  out.next_txn = next_txn;
+  out.chains.reserve(chains.size());
+  for (const auto& chain : chains)
+    out.chains.push_back({chain.name, chain.versions});
+  return out;
+}
+
 void write_snapshot(Vfs& vfs, const std::string& path,
-                    const SnapshotData& data) {
-  const std::string bytes = encode(data);
+                    const SnapshotView& view) {
+  const std::string bytes = encode(view);
   const std::string tmp = path + ".tmp";
 
   {
@@ -124,8 +133,13 @@ void write_snapshot(Vfs& vfs, const std::string& path,
   vfs.dir_sync(parent_directory(path));
 }
 
+void write_snapshot(Vfs& vfs, const std::string& path,
+                    const SnapshotData& data) {
+  write_snapshot(vfs, path, data.view());
+}
+
 void write_snapshot(const std::string& path, const SnapshotData& data) {
-  write_snapshot(*Vfs::posix(), path, data);
+  write_snapshot(*Vfs::posix(), path, data.view());
 }
 
 std::optional<SnapshotData> load_snapshot(Vfs& vfs, const std::string& path) {

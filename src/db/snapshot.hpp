@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/vfs.hpp"
@@ -35,17 +37,35 @@ struct SnapshotChain {
   bool operator==(const SnapshotChain&) const = default;
 };
 
+/// What a snapshot holds, without owning it: the engine encodes its own
+/// version chains through one of these at every checkpoint, so the store
+/// is never copied.
+struct SnapshotChainView {
+  std::string_view name;
+  std::span<const SnapshotVersion> versions;  ///< ascending revision
+};
+
+struct SnapshotView {
+  std::uint64_t next_txn = 1;
+  std::vector<SnapshotChainView> chains;  ///< sorted by name
+};
+
 struct SnapshotData {
   std::uint64_t next_txn = 1;
   std::vector<SnapshotChain> chains;  ///< sorted by name
 
   bool operator==(const SnapshotData&) const = default;
+
+  /// A view of this data, valid while it is unchanged.
+  SnapshotView view() const;
 };
 
-/// Write `data` to `path` atomically (tmp + fsync + rename + dir fsync).
+/// Write `view` to `path` atomically (tmp + fsync + rename + dir fsync).
 /// Every step that fails — including the directory fsync that makes the
 /// rename durable — throws IoError; a snapshot is only "written" once the
 /// whole chain succeeded.
+void write_snapshot(Vfs& vfs, const std::string& path,
+                    const SnapshotView& view);
 void write_snapshot(Vfs& vfs, const std::string& path,
                     const SnapshotData& data);
 void write_snapshot(const std::string& path, const SnapshotData& data);

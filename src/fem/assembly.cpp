@@ -53,51 +53,101 @@ void element_full_dofs(const Element& element, std::size_t dofs_per_node,
 
 std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
     const StructureModel& model, const DofMap& dofs) {
-  // Count-then-fill: size each free row's slots from the elements that
-  // touch it, scatter the column ids into them, then sort and dedupe each
-  // short row in place.  Same pattern as sorting every (row, col) pair.
-  const std::size_t n = dofs.free_dofs;
-  std::vector<std::size_t> full;
-  std::vector<std::size_t> free;
-  auto element_free_dofs = [&](const Element& element) {
-    element_full_dofs(element, dofs.dofs_per_node, full);
-    free.clear();
-    for (const std::size_t g : full)
-      if (const std::ptrdiff_t r = dofs.full_to_reduced[g]; r >= 0)
-        free.push_back(static_cast<std::size_t>(r));
+  // An element couples dofs 0..edof-1 of all its nodes, so free dofs
+  // (p, d) and (q, d') are coupled exactly when an element holding both p
+  // and q has edof > max(d, d').  With w the largest edof among the
+  // elements holding p and q, row (p, d) is, for each neighbour q of p in
+  // ascending order with w > d, the free dofs (q, 0..w-1): sorted, since
+  // the reduced numbering is monotone in the full one, and unique.
+  const std::size_t nodes = model.nodes.size();
+  const std::size_t ndpn = dofs.dofs_per_node;
+
+  // Node -> element incidence: node p's elements are
+  // incident[first_incident[p], first_incident[p + 1]), in element order.
+  std::vector<std::size_t> first_incident(nodes + 1, 0);
+  std::size_t links = 0;  // bounds the neighbour entries below
+  for (const auto& element : model.elements) {
+    const std::size_t count = element.node_count();
+    links += count * count;
+    for (std::size_t i = 0; i < count; ++i)
+      ++first_incident[element.nodes[i] + 1];
+  }
+  for (std::size_t p = 0; p < nodes; ++p)
+    first_incident[p + 1] += first_incident[p];
+  std::vector<std::size_t> incident(first_incident[nodes]);
+  {
+    std::vector<std::size_t> fill(first_incident.begin(),
+                                  first_incident.end() - 1);
+    for (std::size_t e = 0; e < model.elements.size(); ++e) {
+      const Element& element = model.elements[e];
+      for (std::size_t i = 0; i < element.node_count(); ++i)
+        incident[fill[element.nodes[i]]++] = e;
+    }
+  }
+
+  // Node p's neighbours (p itself included) with their widths, ascending:
+  // neighbours[first_neighbour[p], first_neighbour[p + 1]).  While p's
+  // list is built, slot[q] is q's index in it; an index below the list's
+  // start is an earlier node's.
+  struct Neighbour {
+    std::size_t node;
+    std::size_t width;
   };
-
-  // Row r's slots are [slot[r], slot[r + 1]).
-  std::vector<std::size_t> slot(n + 1, 0);
-  for (const auto& element : model.elements) {
-    element_free_dofs(element);
-    for (const std::size_t r : free) slot[r + 1] += free.size();
+  std::vector<Neighbour> neighbours;
+  neighbours.reserve(links);
+  std::vector<std::size_t> first_neighbour(nodes + 1, 0);
+  std::vector<std::size_t> slot(nodes, la::SparsityPattern::npos);
+  std::size_t bound = 0;  // entries if every column were free and coupled
+  for (std::size_t p = 0; p < nodes; ++p) {
+    const std::size_t begin = neighbours.size();
+    for (std::size_t k = first_incident[p]; k < first_incident[p + 1]; ++k) {
+      const Element& element = model.elements[incident[k]];
+      const std::size_t width = element_dofs_per_node(element.type);
+      for (std::size_t i = 0; i < element.node_count(); ++i) {
+        const std::size_t q = element.nodes[i];
+        if (const std::size_t s = slot[q];
+            s >= begin && s < neighbours.size()) {
+          neighbours[s].width = std::max(neighbours[s].width, width);
+        } else {
+          slot[q] = neighbours.size();
+          neighbours.push_back({q, width});
+        }
+      }
+    }
+    std::sort(neighbours.begin() + static_cast<std::ptrdiff_t>(begin),
+              neighbours.end(), [](const Neighbour& a, const Neighbour& b) {
+                return a.node < b.node;
+              });
+    first_neighbour[p + 1] = neighbours.size();
+    std::size_t widths = 0;
+    for (std::size_t k = begin; k < neighbours.size(); ++k)
+      widths += neighbours[k].width;
+    for (std::size_t d = 0; d < ndpn; ++d)
+      if (dofs.full_to_reduced[p * ndpn + d] >= 0) bound += widths;
   }
-  for (std::size_t r = 0; r < n; ++r) slot[r + 1] += slot[r];
 
-  std::vector<std::size_t> col_idx(slot[n]);
-  std::vector<std::size_t> fill(slot.begin(), slot.end() - 1);
-  for (const auto& element : model.elements) {
-    element_free_dofs(element);
-    for (const std::size_t r : free)
-      for (const std::size_t c : free) col_idx[fill[r]++] = c;
+  // Row (p, d) of each free dof, in the reduced order.
+  std::vector<std::size_t> row_ptr(dofs.free_dofs + 1, 0);
+  std::vector<std::size_t> col_idx;
+  col_idx.reserve(bound);
+  std::size_t row = 0;
+  for (std::size_t p = 0; p < nodes; ++p) {
+    for (std::size_t d = 0; d < ndpn; ++d) {
+      if (dofs.full_to_reduced[p * ndpn + d] < 0) continue;
+      for (std::size_t k = first_neighbour[p]; k < first_neighbour[p + 1];
+           ++k) {
+        const auto [q, width] = neighbours[k];
+        if (width <= d) continue;
+        for (std::size_t dq = 0; dq < width; ++dq)
+          if (const std::ptrdiff_t c = dofs.full_to_reduced[q * ndpn + dq];
+              c >= 0)
+            col_idx.push_back(static_cast<std::size_t>(c));
+      }
+      row_ptr[++row] = col_idx.size();
+    }
   }
-
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::size_t nnz = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto begin = col_idx.begin() + static_cast<std::ptrdiff_t>(slot[r]);
-    const auto end =
-        col_idx.begin() + static_cast<std::ptrdiff_t>(slot[r + 1]);
-    std::sort(begin, end);
-    const auto last = std::unique(begin, end);
-    for (auto it = begin; it != last; ++it) col_idx[nnz++] = *it;
-    row_ptr[r + 1] = nnz;
-  }
-  col_idx.resize(nnz);
-  col_idx.shrink_to_fit();
-  return std::make_shared<la::SparsityPattern>(n, n, std::move(row_ptr),
-                                               std::move(col_idx));
+  return std::make_shared<la::SparsityPattern>(
+      dofs.free_dofs, dofs.free_dofs, std::move(row_ptr), std::move(col_idx));
 }
 
 SystemScatter::SystemScatter(const StructureModel& model) {
@@ -105,7 +155,19 @@ SystemScatter::SystemScatter(const StructureModel& model) {
   FEM2_CHECK_MSG(system_.dofs.free_dofs > 0, "model is fully constrained");
   pattern_ = build_sparsity_pattern(model, system_.dofs);
   values_.assign(pattern_->nonzeros(), 0.0);
+  offset_.assign(system_.dofs.free_dofs, la::SparsityPattern::npos);
   system_.rhs_correction.assign(system_.dofs.free_dofs, 0.0);
+}
+
+void SystemScatter::map_row(std::size_t row) {
+  FEM2_CHECK(row < system_.dofs.free_dofs);
+  const auto row_ptr = pattern_->row_ptr();
+  const auto col_idx = pattern_->col_idx();
+  row_ = row;
+  row_begin_ = row_ptr[row];
+  row_size_ = row_ptr[row + 1] - row_begin_;
+  for (std::size_t k = row_begin_; k < row_ptr[row + 1]; ++k)
+    offset_[col_idx[k]] = k;
 }
 
 AssembledSystem SystemScatter::finish() {
@@ -119,7 +181,7 @@ AssembledSystem assemble(const StructureModel& model) {
   const std::size_t dofs_per_node = model.dofs_per_node();
   std::vector<std::size_t> full;
   for (const auto& element : model.elements) {
-    const la::DenseMatrix k = element_stiffness(model, element);
+    const ElementMatrix k = element_stiffness(model, element);
     const std::span<const double> kd = k.data();  // row-major, n x n
     element_full_dofs(element, dofs_per_node, full);
     const std::size_t n = full.size();

@@ -2,11 +2,14 @@
 // elimination, and load-set vectors.
 //
 // fem::assemble is one pass: it builds the dof map and the reduced
-// sparsity pattern, then forms each element's stiffness and adds every
-// entry through the pattern.  The simulated machine's parallel assembly
+// sparsity pattern (from the node graph, with no sort of column ids),
+// then forms each element's stiffness in an inline ElementMatrix and adds
+// every entry through SystemScatter, which finds a column's value offset
+// in a per-row position map.  The simulated machine's parallel assembly
 // (passembly.hpp) forms the same element matrices in worker tasks and
 // places their entries with the same SystemScatter on the host, so both
-// paths give the same bits.
+// paths give the same bits.  Nothing is cached between calls: every
+// caller assembles a model it has just built or edited.
 #pragma once
 
 #include <memory>
@@ -64,7 +67,9 @@ void element_full_dofs(const Element& element, std::size_t dofs_per_node,
 
 /// Reduced sparsity pattern from element connectivity (structural
 /// nonzeros; exact numeric zeros are kept so the pattern is
-/// value-independent).
+/// value-independent).  Built from the node graph: free dofs (p, d) and
+/// (q, d') are coupled when an element holding nodes p and q has more
+/// than max(d, d') dofs per node.
 std::shared_ptr<const la::SparsityPattern> build_sparsity_pattern(
     const StructureModel& model, const DofMap& dofs);
 
@@ -84,11 +89,17 @@ class SystemScatter {
     return system_.dofs.full_to_reduced[full];
   }
   /// Adds K(row, col); `row` is a free_row() result, `col` a full dof.
+  /// A row's entries should arrive together: each change of row maps the
+  /// new row's columns to their value offsets in one pass over its CSR
+  /// row, and each entry then reads its offset from that map.
   void add(std::size_t row, std::size_t col, double value) {
     const DofMap& map = system_.dofs;
     if (const std::ptrdiff_t c = map.full_to_reduced[col]; c >= 0) {
-      const std::size_t k = pattern_->find(row, static_cast<std::size_t>(c));
-      FEM2_CHECK(k != la::SparsityPattern::npos);
+      if (row != row_) map_row(row);
+      const std::size_t k = offset_[static_cast<std::size_t>(c)];
+      // Pattern membership: the offset lies in this row and holds c.
+      FEM2_CHECK(k - row_begin_ < row_size_ &&
+                 pattern_->col_idx()[k] == static_cast<std::size_t>(c));
       values_[k] += value;
     } else if (const double uc = map.prescribed[col]; uc != 0.0) {
       system_.rhs_correction[row] += value * uc;
@@ -99,9 +110,18 @@ class SystemScatter {
   AssembledSystem finish();
 
  private:
+  /// Points offset_ at `row`'s value offsets.
+  void map_row(std::size_t row);
+
   AssembledSystem system_;
   std::shared_ptr<const la::SparsityPattern> pattern_;
   std::vector<double> values_;
+  /// offset_[c] is column c's value offset in row row_, for the columns
+  /// that row holds; other entries are stale or npos.
+  std::vector<std::size_t> offset_;
+  std::size_t row_ = la::SparsityPattern::npos;
+  std::size_t row_begin_ = 0;  ///< row_'s first value offset
+  std::size_t row_size_ = 0;   ///< and its entry count
 };
 
 /// Validates the model, then assembles K_ff and the K_fc·u_c correction.

@@ -1,6 +1,5 @@
 #include "fem/element.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
@@ -40,13 +39,48 @@ Mat<R, C> multiply(const Mat<R, K>& a, const Mat<K, C>& b) {
   return out;
 }
 
-/// out += alpha a, as DenseMatrix::add_scaled.
+/// k += alpha BᵀDB for a plane element's 3 x N strain-displacement matrix
+/// B, with the arithmetic of add_scaled(k, multiply(multiply(Bᵀ, D), B),
+/// alpha): each entry of BᵀD and BᵀDB sums from +0.0 over its inner index
+/// ascending, skipping a term whose left factor is 0, and adds into k as
+/// alpha times that sum.  A term whose left factor is nonzero is kept
+/// where B has a structural zero: with an overflowing D that inf * 0 is a
+/// NaN the element matrix must carry.  The loops over columns unroll, so
+/// each BᵀDB row sums in registers.
 template <std::size_t N>
-void add_scaled(la::DenseMatrix& out, const Mat<N, N>& a, double alpha) {
+__attribute__((always_inline)) inline void add_btdb(Mat<N, N>& k,
+                                                    const Mat<3, N>& b,
+                                                    const Mat<3, 3>& d,
+                                                    double alpha) {
+  Mat<N, 3> btd{};
   for (std::size_t r = 0; r < N; ++r) {
-    const auto row = out.row(r);
-    for (std::size_t c = 0; c < N; ++c) row[c] += alpha * a[r][c];
+    for (std::size_t j = 0; j < 3; ++j) {
+      const double x = b[j][r];
+      if (x == 0.0) continue;
+#pragma GCC unroll 3
+      for (std::size_t c = 0; c < 3; ++c) btd[r][c] += x * d[j][c];
+    }
   }
+  for (std::size_t r = 0; r < N; ++r) {
+    std::array<double, N> row{};
+    for (std::size_t j = 0; j < 3; ++j) {
+      const double x = btd[r][j];
+      if (x == 0.0) continue;
+#pragma GCC unroll 8
+      for (std::size_t c = 0; c < N; ++c) row[c] += x * b[j][c];
+    }
+#pragma GCC unroll 8
+    for (std::size_t c = 0; c < N; ++c) k[r][c] += alpha * row[c];
+  }
+}
+
+/// An element matrix holding the fixed-size matrix a.
+template <std::size_t N>
+ElementMatrix element_matrix(const Mat<N, N>& a) {
+  ElementMatrix out(N);
+  for (std::size_t r = 0; r < N; ++r)
+    for (std::size_t c = 0; c < N; ++c) out(r, c) = a[r][c];
+  return out;
 }
 
 struct Frame {
@@ -63,14 +97,13 @@ Frame element_frame(const Node& a, const Node& b) {
   return {length, dx / length, dy / length};
 }
 
-la::DenseMatrix bar2_stiffness(const StructureModel& model,
-                               const Element& e) {
+ElementMatrix bar2_stiffness(const StructureModel& model, const Element& e) {
   const auto& m = model.materials[e.material];
   const Frame f = element_frame(model.nodes[e.nodes[0]],
                                 model.nodes[e.nodes[1]]);
   const double k = m.youngs_modulus * m.area / f.length;
   const double cc = f.c * f.c, ss = f.s * f.s, cs = f.c * f.s;
-  la::DenseMatrix out(4, 4);
+  ElementMatrix out(4);
   const double entries[4][4] = {
       {cc, cs, -cc, -cs},
       {cs, ss, -cs, -ss},
@@ -82,8 +115,7 @@ la::DenseMatrix bar2_stiffness(const StructureModel& model,
   return out;
 }
 
-la::DenseMatrix beam2_stiffness(const StructureModel& model,
-                                const Element& e) {
+ElementMatrix beam2_stiffness(const StructureModel& model, const Element& e) {
   const auto& m = model.materials[e.material];
   const Frame f = element_frame(model.nodes[e.nodes[0]],
                                 model.nodes[e.nodes[1]]);
@@ -113,11 +145,7 @@ la::DenseMatrix beam2_stiffness(const StructureModel& model,
     t[base + 1][base + 1] = f.c;
     t[base + 2][base + 2] = 1.0;
   }
-  la::DenseMatrix out(6, 6);
-  const Mat<6, 6> k = multiply(multiply(transpose(t), local), t);
-  for (std::size_t r = 0; r < 6; ++r)
-    std::copy(k[r].begin(), k[r].end(), out.row(r).begin());
-  return out;
+  return element_matrix(multiply(multiply(transpose(t), local), t));
 }
 
 /// Plane-stress constitutive matrix D.
@@ -160,21 +188,17 @@ std::pair<Mat<3, 6>, double> tri3_b(const StructureModel& model,
   return {b, area};
 }
 
-la::DenseMatrix tri3_stiffness(const StructureModel& model,
-                               const Element& e) {
+ElementMatrix tri3_stiffness(const StructureModel& model, const Element& e) {
   const auto& m = model.materials[e.material];
   const auto [b, area] = tri3_b(model, e);
-  const Mat<3, 3> d = plane_stress_d(m);
-  la::DenseMatrix out(6, 6);
-  add_scaled(out, multiply(multiply(transpose(b), d), b),
-             m.thickness * std::abs(area));
-  return out;
+  Mat<6, 6> k{};
+  add_btdb(k, b, plane_stress_d(m), m.thickness * std::abs(area));
+  return element_matrix(k);
 }
 
 /// Quad4 B matrix at natural coordinates (xi, eta) plus det(J).
-std::pair<Mat<3, 8>, double> quad4_b(const StructureModel& model,
-                                     const Element& e, double xi,
-                                     double eta) {
+__attribute__((always_inline)) inline std::pair<Mat<3, 8>, double> quad4_b(
+    const StructureModel& model, const Element& e, double xi, double eta) {
   // Shape function derivatives wrt natural coordinates.
   const double dn_dxi[4] = {-(1 - eta) / 4, (1 - eta) / 4, (1 + eta) / 4,
                             -(1 + eta) / 4};
@@ -206,21 +230,18 @@ std::pair<Mat<3, 8>, double> quad4_b(const StructureModel& model,
   return {b, det};
 }
 
-la::DenseMatrix quad4_stiffness(const StructureModel& model,
-                                const Element& e) {
+ElementMatrix quad4_stiffness(const StructureModel& model, const Element& e) {
   const auto& m = model.materials[e.material];
   const Mat<3, 3> d = plane_stress_d(m);
-  la::DenseMatrix k(8, 8);
+  Mat<8, 8> k{};
   const double g = 1.0 / std::sqrt(3.0);
   for (const double xi : {-g, g}) {
     for (const double eta : {-g, g}) {
       const auto [b, det] = quad4_b(model, e, xi, eta);
-      // Unit Gauss weights.
-      add_scaled(k, multiply(multiply(transpose(b), d), b),
-                 m.thickness * det);
+      add_btdb(k, b, d, m.thickness * det);  // unit Gauss weights
     }
   }
-  return k;
+  return element_matrix(k);
 }
 
 /// Plane stress D B u_e of a plane element, each product row by row in
@@ -247,8 +268,8 @@ double triangle_area(const Node& a, const Node& b, const Node& c) {
   return 0.5 * ((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y));
 }
 
-la::DenseMatrix element_stiffness(const StructureModel& model,
-                                  const Element& element) {
+ElementMatrix element_stiffness(const StructureModel& model,
+                                const Element& element) {
   switch (element.type) {
     case ElementType::Bar2: return bar2_stiffness(model, element);
     case ElementType::Beam2: return beam2_stiffness(model, element);

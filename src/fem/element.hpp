@@ -1,19 +1,46 @@
 // Element stiffness matrices and stress recovery kernels.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
 #include "fem/model.hpp"
-#include "la/dense.hpp"
 
 namespace fem2::fem {
 
-/// Element stiffness in global coordinates.  Size is
-/// node_count * element_dofs_per_node(type); the assembly layer maps entries
-/// into the model-wide dof numbering.
-la::DenseMatrix element_stiffness(const StructureModel& model,
-                                  const Element& element);
+/// An element stiffness matrix, row-major and held inline, so forming one
+/// allocates nothing.  Its size is node_count * element_dofs_per_node(type),
+/// at most 8 (Quad4); entries start at +0.0.
+class ElementMatrix {
+ public:
+  static constexpr std::size_t kMaxSize = 8;
+
+  explicit ElementMatrix(std::size_t size) : size_(size) {
+    FEM2_CHECK(size <= kMaxSize);
+  }
+
+  std::size_t size() const { return size_; }
+  double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * size_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * size_ + c];
+  }
+  /// The size() x size() entries, row-major.
+  std::span<const double> data() const {
+    return {data_.data(), size_ * size_};
+  }
+
+ private:
+  std::size_t size_;
+  std::array<double, kMaxSize * kMaxSize> data_{};
+};
+
+/// Element stiffness in global coordinates; the assembly layer maps
+/// entries into the model-wide dof numbering.
+ElementMatrix element_stiffness(const StructureModel& model,
+                                const Element& element);
 
 /// Recover the stress of one element from its global displacement vector
 /// (ordered per the model's dofs_per_node numbering).

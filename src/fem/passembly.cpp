@@ -48,7 +48,7 @@ navm::Coro assemble_worker_body(navm::TaskContext& ctx) {
   std::vector<std::size_t> full;
   for (std::size_t e = p.element_begin; e < p.element_end; ++e) {
     const Element& element = p.model.elements[e];
-    const la::DenseMatrix k = element_stiffness(p.model, element);
+    const ElementMatrix k = element_stiffness(p.model, element);
     element_full_dofs(element, ndof, full);
     flops += element_assembly_flops(element);
     for (std::size_t r = 0; r < full.size(); ++r) {

@@ -219,7 +219,7 @@ SubstructureProblem prepare_substructures(
 
     for (const std::size_t e : partition.element_groups[s]) {
       const Element& element = model.elements[e];
-      const la::DenseMatrix k = element_stiffness(model, element);
+      const ElementMatrix k = element_stiffness(model, element);
       element_full_dofs(element, map.dofs_per_node, full);
       for (std::size_t r = 0; r < full.size(); ++r) {
         const std::ptrdiff_t rr = map.full_to_reduced[full[r]];

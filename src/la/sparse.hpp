@@ -3,8 +3,11 @@
 // A CsrMatrix is numeric values over a SparsityPattern (row_ptr / col_idx)
 // held by shared_ptr, so copies of a matrix copy no index data.  Two
 // paths build one:
-//  * fem::assemble — the pattern from element connectivity first, then
-//    each element contribution added at SparsityPattern::find's offset.
+//  * fem::assemble — the pattern from the mesh's node graph first, then
+//    each element contribution added at its value offset, which
+//    fem::SystemScatter reads from a per-row position map filled once
+//    per row (SparsityPattern::find's binary search serves single
+//    lookups such as value_at).
 //  * TripletBuilder — one-shot: accumulate (row, col, value) triplets
 //    (duplicates sum, as element contributions do) and compress.
 #pragma once

@@ -7,13 +7,7 @@
 
 namespace fem2::spec {
 
-namespace {
-
-using hgraph::HGraph;
-using hgraph::Invoker;
-using hgraph::NodeId;
-
-std::string transform_grammar_text() {
+std::string appvm_transform_grammar_text() {
   return std::string(appvm_grammar_text()) + R"(
 # Argument records of the layer-1 transforms.
 modelname    ::= { name: STRING }
@@ -24,6 +18,12 @@ grid_args    ::= { model: structure, nx: INT, ny: INT, width: REAL,
                    height: REAL }
 )";
 }
+
+namespace {
+
+using hgraph::HGraph;
+using hgraph::Invoker;
+using hgraph::NodeId;
 
 /// Number of arcs of the indexed family `base[i]` on `node` (the next free
 /// index when appending).
@@ -118,7 +118,7 @@ NodeId count_nodes_transform(Invoker&, HGraph& g, NodeId model) {
 }  // namespace
 
 hgraph::Grammar appvm_transform_grammar() {
-  return hgraph::parse_grammar(transform_grammar_text());
+  return hgraph::parse_grammar(appvm_transform_grammar_text());
 }
 
 hgraph::TransformRegistry make_appvm_transforms() {

@@ -7,11 +7,14 @@
 // record types; every transform application is pre/post checked against it.
 #pragma once
 
+#include <string>
+
 #include "hgraph/transform.hpp"
 
 namespace fem2::spec {
 
 /// Layer-1 grammar plus the transform argument records below.
+std::string appvm_transform_grammar_text();
 hgraph::Grammar appvm_transform_grammar();
 
 /// Registry with the application-user operations:

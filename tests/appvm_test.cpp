@@ -226,6 +226,65 @@ TEST(Session, MeshAboveTheNodeLimitFailsAndKeepsTheModel) {
   }
 }
 
+/// Oversized models for the dense paths, each with its load set: just
+/// past Session::kMaxDenseDofs, and the largest beam and plate meshes.
+const std::pair<const char*, const char*> kOverDenseLimit[] = {
+    {"mesh beam segments=500", "tip"},         // 1,503 dofs
+    {"mesh beam segments=2499", "tip"},        // 7,500 dofs
+    {"mesh plate nx=49 ny=49", "tip-shear"},   // 5,000 dofs
+    {"mesh truss bays=376", "deck"},           // 1,508 dofs
+};
+
+TEST(Session, DensePathsRefuseModelsAboveTheDofLimit) {
+  Database db;
+  Session session(db);
+  for (const auto& [mesh, load_set] : kOverDenseLimit) {
+    ASSERT_TRUE(session.execute(mesh).ok) << mesh;
+    const std::string solve = std::string("solve ") + load_set;
+    ASSERT_TRUE(session.execute(solve + " using skyline").ok) << mesh;
+    const std::string model = session.execute("show model").text;
+    const std::string results = session.execute("show displacements").text;
+    for (const std::string& line :
+         {solve + " using cholesky", std::string("modes"),
+          std::string("modes 1")}) {
+      const Response r = session.execute(line);
+      EXPECT_FALSE(r.ok) << mesh << ": " << line;
+      EXPECT_EQ(r.kind, Response::FailureKind::Other) << line;
+      EXPECT_NE(r.text.find(std::to_string(Session::kMaxDenseDofs)),
+                std::string::npos)
+          << r.text;
+      EXPECT_EQ(session.execute("show model").text, model) << line;
+      EXPECT_EQ(session.execute("show displacements").text, results) << line;
+    }
+  }
+}
+
+TEST(Session, DenseLimitCountsEveryModelDof) {
+  // Two bars plus fixed nodes that no element holds: the model has
+  // kMaxDenseDofs dofs, of which two are free.  The limit admits it, and
+  // one more node takes it past the limit whatever the free count.
+  Database db;
+  Session session(db);
+  for (const char* line :
+       {"new model spare-nodes", "material steel E=1000 A=0.01", "node 0 0",
+        "node 1 0", "node 2 0", "element bar 0 1", "element bar 1 2",
+        "fix 0", "fix 2", "constrain 1 1", "load pull 1 0 50"})
+    ASSERT_TRUE(session.execute(line).ok) << line;
+  const std::size_t nodes = Session::kMaxDenseDofs / 2;
+  for (std::size_t n = 3; n < nodes; ++n) {
+    ASSERT_TRUE(session.execute("node " + std::to_string(n) + " 5").ok);
+    ASSERT_TRUE(session.execute("fix " + std::to_string(n)).ok);
+  }
+  const Response at_limit = session.execute("solve pull using cholesky");
+  EXPECT_TRUE(at_limit.ok) << at_limit.text;
+  EXPECT_TRUE(session.execute("modes 1").ok);
+  ASSERT_TRUE(session.execute("node 0 9").ok);
+  ASSERT_TRUE(session.execute("fix " + std::to_string(nodes)).ok);
+  EXPECT_FALSE(session.execute("solve pull using cholesky").ok);
+  EXPECT_FALSE(session.execute("modes 1").ok);
+  EXPECT_TRUE(session.execute("solve pull using skyline").ok);
+}
+
 TEST(Session, CommentsAndBlanksIgnored) {
   Database db;
   Session session(db);

@@ -459,6 +459,44 @@ TEST(Recovery, CheckpointCompactsLogAndSurvivesReopen) {
   EXPECT_EQ(reopened.stats().recovered_txns, 1u);  // only "after"
 }
 
+TEST(Recovery, CheckpointBytesEqualTheCopiedSnapshot) {
+  // A checkpoint writes exactly what write_snapshot writes for a
+  // SnapshotData copied out of the engine's version chains.
+  TempDir dir("checkpoint_bytes");
+  db::Engine engine(options_for(dir));
+  engine.put("b", "model", "b1");                     // txn 1
+  engine.put("a", "results", std::string(300, 'r'));  // txn 2
+  engine.put("b", "model", "b2");                     // txn 3
+  engine.erase("a");                                  // txn 4
+  const std::uint64_t txn = engine.begin();           // txn 5
+  engine.put(txn, "c", "model", "");
+  engine.put(txn, "b", "model", "b3");
+  engine.commit(txn);
+  engine.put("a", "results", "back");  // txn 6
+  for (int i = 0; i < 12; ++i)         // txns 7..18; the chain is trimmed
+    engine.put("d", "model", std::string(static_cast<std::size_t>(i), 'd'));
+  engine.checkpoint();
+
+  db::SnapshotData copied;
+  copied.next_txn = 19;
+  for (const auto& chain : engine.state().chains) {
+    db::SnapshotChain out;
+    out.name = chain.name;
+    for (const auto& v : chain.versions) {
+      const auto view = engine.get_at(chain.name, v.revision);
+      out.versions.push_back({v.revision, v.deleted, v.txn, v.kind,
+                              view ? view->value : std::string()});
+    }
+    copied.chains.push_back(std::move(out));
+  }
+  ASSERT_EQ(copied.chains.size(), 4u);
+  const fs::path want = dir.path / "copied.f2db";
+  db::write_snapshot(want.string(), copied);
+  const std::string got = read_file(dir.path / "snapshot.f2db");
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(got, read_file(want));
+}
+
 TEST(Recovery, AutoCheckpointTriggersOnLogGrowth) {
   TempDir dir("autockpt");
   db::EngineOptions options = options_for(dir);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,10 +17,19 @@
 #include "fem/mesh.hpp"
 #include "fem/solver.hpp"
 #include "fem/substructure.hpp"
+#include "la/dense.hpp"
 #include "support/rng.hpp"
 
 namespace fem2::fem {
 namespace {
+
+/// An element matrix as a DenseMatrix, for its products and checks.
+la::DenseMatrix dense(const ElementMatrix& k) {
+  la::DenseMatrix out(k.size(), k.size());
+  for (std::size_t r = 0; r < k.size(); ++r)
+    for (std::size_t c = 0; c < k.size(); ++c) out(r, c) = k(r, c);
+  return out;
+}
 
 Material soft_material() {
   Material m;
@@ -42,7 +52,7 @@ TEST(FemElements, BarAxialStiffness) {
   EXPECT_NEAR(k(0, 0), ea_l, 1e-12);
   EXPECT_NEAR(k(0, 2), -ea_l, 1e-12);
   EXPECT_NEAR(k(1, 1), 0.0, 1e-12);  // no transverse stiffness
-  EXPECT_TRUE(k.is_symmetric());
+  EXPECT_TRUE(dense(k).is_symmetric());
 }
 
 TEST(FemElements, BarUnderAxialLoad) {
@@ -90,9 +100,9 @@ TEST(FemElements, TriangleRigidBodyMotionHasNoStrainEnergy) {
   const auto k = element_stiffness(model, model.elements[0]);
   // Uniform translation: zero force.
   const std::vector<double> translation = {1, 0, 1, 0, 1, 0};
-  const auto f = k.multiply(translation);
+  const auto f = dense(k).multiply(translation);
   for (const double v : f) EXPECT_NEAR(v, 0.0, 1e-9);
-  EXPECT_TRUE(k.is_symmetric(1e-9));
+  EXPECT_TRUE(dense(k).is_symmetric(1e-9));
 }
 
 TEST(FemElements, Quad4PatchUniaxialStress) {
@@ -415,11 +425,11 @@ void expect_element_matches(const StructureModel& model, std::size_t index,
         << what;
     return;
   }
-  const la::DenseMatrix got = element_stiffness(model, e);
-  ASSERT_EQ(got.rows(), want.rows()) << what;
-  ASSERT_EQ(got.cols(), want.cols()) << what;
+  const ElementMatrix got = element_stiffness(model, e);
+  ASSERT_EQ(got.size(), want.rows()) << what;
+  ASSERT_EQ(got.size(), want.cols()) << what;
   EXPECT_TRUE(same_bits(got.data(), want.data())) << what << " K_e\n"
-                                                  << matrix_text(got)
+                                                  << matrix_text(dense(got))
                                                   << matrix_text(want);
   const ElementStress s = element_stress(model, index, u);
   const ElementStress w = before::element_stress(model, index, u);
@@ -477,6 +487,40 @@ TEST(ElementBitIdentity, SkewedRotatedAndScaledElements) {
     }
     expect_element_matches(model, 0, random_displacements(model, rng),
                            "trial " + std::to_string(trial));
+  }
+}
+
+TEST(ElementBitIdentity, ZeroPoissonAndAxisAlignedRectangles) {
+  // nu = 0 makes D's off-diagonal terms exact zeros, so BᵀD has zero
+  // entries that take the skip in BᵀDB.  Axis-aligned rectangles make the
+  // Jacobian's off-diagonal terms ±0.  Every third material has a modulus
+  // of 1.7e308, which overflows D (and with nu = 0, BᵀD) on the same
+  // rectangles.
+  support::Rng rng(24);
+  for (int trial = 0; trial < 600; ++trial) {
+    StructureModel model;
+    Material m;
+    m.youngs_modulus = trial % 3 == 0 ? 1.7e308
+                                      : std::pow(10.0, rng.uniform(-3.0, 13.0));
+    m.poisson_ratio = trial % 2 == 0 ? 0.0 : rng.uniform(-0.9, 0.49);
+    m.thickness = rng.uniform(1e-3, 1.0);
+    model.add_material(m);
+    const double w = std::pow(10.0, rng.uniform(-6.0, 6.0));
+    const double h = w * rng.uniform(0.2, 5.0);
+    const double ox = trial % 5 == 0 ? 0.0 : rng.uniform(-100.0, 100.0);
+    const double oy = trial % 7 == 0 ? 0.0 : rng.uniform(-100.0, 100.0);
+    model.add_node(ox, oy);
+    model.add_node(ox + w, oy);
+    model.add_node(ox + w, oy + h);
+    model.add_node(ox, oy + h);
+    model.add_element(ElementType::Quad4, {0, 1, 2, 3});
+    model.add_element(ElementType::Tri3, {0, 1, 2});
+    model.add_element(ElementType::Tri3, {2, 3, 0});
+    const auto u = random_displacements(model, rng);
+    for (std::size_t i = 0; i < model.elements.size(); ++i)
+      expect_element_matches(model, i, u,
+                             "trial " + std::to_string(trial) + " element " +
+                                 std::to_string(i));
   }
 }
 
@@ -693,17 +737,18 @@ TEST(FemModel, ValidationCatchesErrors) {
 }
 
 
-/// The pattern as it was built before count-then-fill: every element's
-/// free-dof (row, col) pairs through SparsityPattern::from_pairs.
+/// The pattern as every element's free-dof (row, col) pairs make it,
+/// through SparsityPattern::from_pairs.
 la::SparsityPattern pattern_from_pairs(const StructureModel& model,
                                        const DofMap& dofs) {
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (const auto& element : model.elements) {
     const std::size_t edof = element_dofs_per_node(element.type);
     std::vector<std::size_t> free;
-    for (const std::size_t node : element.nodes)
+    for (std::size_t i = 0; i < element.node_count(); ++i)
       for (std::size_t d = 0; d < edof; ++d)
-        if (const auto r = dofs.full_to_reduced[dofs.full_index(node, d)];
+        if (const auto r = dofs.full_to_reduced[dofs.full_index(
+                element.nodes[i], d)];
             r >= 0)
           free.push_back(static_cast<std::size_t>(r));
     for (const std::size_t r : free)
@@ -711,6 +756,51 @@ la::SparsityPattern pattern_from_pairs(const StructureModel& model,
   }
   return la::SparsityPattern::from_pairs(dofs.free_dofs, dofs.free_dofs,
                                          std::move(pairs));
+}
+
+/// Models no mesh generator builds.  "frame" mixes Bar2 and Beam2 in a
+/// 3-dof model: nodes 4 and 5 meet first in a bar and later in a beam, so
+/// their coupling width is the larger of two; it also has a free node no
+/// element holds (empty rows), a duplicated bar, elements listed with
+/// descending node numbers and a prescribed rotation.  "plane" mixes
+/// Quad4, Tri3 and Bar2 in a 2-dof model, with an isolated node and a
+/// prescribed displacement.
+std::vector<std::pair<std::string, StructureModel>> mixed_models() {
+  StructureModel frame;
+  frame.add_material(soft_material());
+  for (int i = 0; i < 6; ++i) frame.add_node(i, 0.1 * i * i);
+  frame.add_node(2.5, 3.0);  // node 6: free, in no element
+  frame.add_element(ElementType::Beam2, {0, 1});
+  frame.add_element(ElementType::Beam2, {2, 1});
+  frame.add_element(ElementType::Bar2, {2, 3});
+  frame.add_element(ElementType::Bar2, {2, 3});
+  frame.add_element(ElementType::Beam2, {4, 3});
+  frame.add_element(ElementType::Bar2, {5, 4});
+  frame.add_element(ElementType::Bar2, {5, 0});
+  frame.add_element(ElementType::Beam2, {4, 5});
+  frame.fix_node(0);
+  frame.add_constraint(5, 1);
+  frame.add_constraint(3, 2, 0.002);
+  frame.add_load("tip", 5, 0, 1.0);
+
+  StructureModel plane;
+  plane.add_material(soft_material());
+  for (int j = 0; j < 2; ++j)
+    for (int i = 0; i < 3; ++i) plane.add_node(i, j);  // nodes 0..5
+  plane.add_node(3.0, 0.5);  // node 6
+  plane.add_node(5.0, 5.0);  // node 7: free, in no element
+  plane.add_element(ElementType::Quad4, {0, 1, 4, 3});
+  plane.add_element(ElementType::Tri3, {1, 2, 5});
+  plane.add_element(ElementType::Tri3, {5, 4, 1});
+  plane.add_element(ElementType::Tri3, {6, 5, 2});
+  plane.add_element(ElementType::Bar2, {5, 0});
+  plane.add_element(ElementType::Bar2, {3, 2});
+  plane.add_element(ElementType::Bar2, {2, 6});
+  plane.fix_node(0);
+  plane.fix_node(3);
+  plane.add_constraint(6, 1, -0.01);
+  plane.add_load("pull", 6, 0, 1.0);
+  return {{"frame", std::move(frame)}, {"plane", std::move(plane)}};
 }
 
 TEST(FemAssembly, SparsityPatternMatchesSortedPairs) {
@@ -729,13 +819,14 @@ TEST(FemAssembly, SparsityPatternMatchesSortedPairs) {
   StructureModel prescribed = make_cantilever_plate(quad, 1.0);
   prescribed.add_constraint(plate_node(quad, 9, 5), 1, 0.01);
 
-  const std::pair<const char*, StructureModel> models[] = {
+  std::vector<std::pair<std::string, StructureModel>> models = {
       {"quad4", make_cantilever_plate(quad, 1.0)},
       {"tri3", make_cantilever_plate(tri, 1.0)},
       {"bar2", make_truss_bridge(truss, 1.0)},
       {"beam2", make_cantilever_beam(frame, 1.0)},
       {"quad4 prescribed", prescribed},
   };
+  for (auto& named : mixed_models()) models.push_back(std::move(named));
   for (const auto& [name, model] : models) {
     const DofMap dofs = build_dof_map(model);
     const auto got = build_sparsity_pattern(model, dofs);
@@ -746,12 +837,23 @@ TEST(FemAssembly, SparsityPatternMatchesSortedPairs) {
     EXPECT_TRUE(std::ranges::equal(got->col_idx(), want.col_idx())) << name;
     EXPECT_EQ(got->storage_bytes(), want.storage_bytes()) << name;
   }
+  // The frame's node 6 is free but in no element: its rows are empty.
+  const StructureModel& frame_model = models[models.size() - 2].second;
+  const DofMap frame_dofs = build_dof_map(frame_model);
+  const auto frame_pattern = build_sparsity_pattern(frame_model, frame_dofs);
+  for (std::size_t d = 0; d < 3; ++d) {
+    const auto r = static_cast<std::size_t>(
+        frame_dofs.full_to_reduced[frame_dofs.full_index(6, d)]);
+    EXPECT_EQ(frame_pattern->row_ptr()[r], frame_pattern->row_ptr()[r + 1]);
+  }
 }
 
 
 /// fem::assemble as it was built before the one-pass fill: a symbolic plan
 /// of value offsets and rhs corrections per element, then a numeric pass
-/// that scatters each element matrix through it.
+/// that scatters each element matrix through it.  It shares no assembly
+/// stage with the library: the pattern comes from pattern_from_pairs, the
+/// element matrices from the DenseMatrix formulation in `before`.
 namespace plan_oracle {
 
 struct MatrixScatter {
@@ -767,7 +869,8 @@ struct RhsScatter {
 AssembledSystem assemble(const StructureModel& model) {
   model.validate();
   const DofMap map = build_dof_map(model);
-  const auto pattern = build_sparsity_pattern(model, map);
+  const auto pattern = std::make_shared<const la::SparsityPattern>(
+      pattern_from_pairs(model, map));
 
   std::vector<std::size_t> matrix_begin;
   std::vector<MatrixScatter> matrix;
@@ -805,7 +908,8 @@ AssembledSystem assemble(const StructureModel& model) {
   system.rhs_correction.assign(map.free_dofs, 0.0);
   std::vector<double> values(pattern->nonzeros(), 0.0);
   for (std::size_t e = 0; e < model.elements.size(); ++e) {
-    const la::DenseMatrix k = element_stiffness(model, model.elements[e]);
+    const la::DenseMatrix k =
+        before::element_stiffness(model, model.elements[e]);
     const std::span<const double> kd = k.data();
     for (std::size_t s = matrix_begin[e]; s < matrix_begin[e + 1]; ++s)
       values[matrix[s].offset] += kd[matrix[s].local];
@@ -843,8 +947,9 @@ TEST(FemAssembly, OnePassMatchesTheTwoPassPlan) {
   prescribed.add_constraint(plate_node(plate, 12, 6), 0, -0.005);
   prescribed.add_constraint(plate_node(plate, 6, 6), 1, 0.003);
 
-  const std::pair<const char*, StructureModel> models[] = {
+  std::vector<std::pair<std::string, StructureModel>> models = {
       {"quad4 8x4", sheet(8, 4, ElementType::Quad4)},
+      {"quad4 12x6", sheet(12, 6, ElementType::Quad4)},
       {"quad4 16x8", sheet(16, 8, ElementType::Quad4)},
       {"quad4 48x12", sheet(48, 12, ElementType::Quad4)},
       {"tri3 48x12", sheet(48, 12, ElementType::Tri3)},
@@ -852,6 +957,7 @@ TEST(FemAssembly, OnePassMatchesTheTwoPassPlan) {
       {"beam", make_cantilever_beam(frame, 5.0)},
       {"prescribed plate", prescribed},
   };
+  for (auto& named : mixed_models()) models.push_back(std::move(named));
   for (const auto& [name, model] : models) {
     const AssembledSystem want = plan_oracle::assemble(model);
     const AssembledSystem got = assemble(model);

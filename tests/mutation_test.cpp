@@ -1,11 +1,18 @@
-// Seeded mutational tests of the model and result text parsers and of the
-// write-ahead log's frame decoder.
+// Seeded mutational tests of the model and result text parsers, of the
+// H-graph grammar parser and of the write-ahead log's frame decoder.
 //
 // Valid documents are mutated with byte flips, truncations, splices of two
 // documents and number lies (huge and negative indices, overflow,
 // subnormals, signs, hex, empty tokens, NUL bytes, CRLF line ends).  Every
 // case must end in a SerializeError, or in a parse whose output
 // re-serializes and parses back to the same text.
+//
+// The six grammar texts in spec (the five layers and the transform
+// grammar) are mutated with byte flips, dropped and duplicated tokens and
+// lines spliced across grammars, and every prefix of one grammar is
+// parsed.  hgraph::parse_grammar must throw GrammarParseError or return a
+// grammar whose validate() passes, with no allocation larger than a fixed
+// multiple of the text.
 //
 // A valid log is mutated with byte flips, lies in frame and string
 // lengths, changed type bytes and truncation, each mutated frame under a
@@ -19,6 +26,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -27,6 +35,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "appvm/serialize.hpp"
@@ -35,6 +44,9 @@
 #include "db/wal.hpp"
 #include "fem/analysis.hpp"
 #include "fem/mesh.hpp"
+#include "hgraph/grammar_parser.hpp"
+#include "spec/layers.hpp"
+#include "spec/transforms.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -61,6 +73,25 @@ void* watched_new(std::size_t n, std::size_t align) {
   void* p = watched_alloc(n, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
+}
+
+/// Shows control bytes, so a failing case can be read and replayed.
+std::string escaped(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '\n') {
+      out += "\\n\n";
+    } else if (u < 0x20 || u >= 0x7f) {
+      const char* hex = "0123456789abcdef";
+      out += "\\x";
+      out.push_back(hex[u >> 4]);
+      out.push_back(hex[u & 15]);
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -210,25 +241,6 @@ std::string mutate(const std::vector<std::string>& corpus, std::size_t which,
   }
 }
 
-/// Shows control bytes, so a failing case can be read and replayed.
-std::string escaped(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '\n') {
-      out += "\\n\n";
-    } else if (u < 0x20 || u >= 0x7f) {
-      const char* hex = "0123456789abcdef";
-      out += "\\x";
-      out.push_back(hex[u >> 4]);
-      out.push_back(hex[u & 15]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 struct Outcomes {
   std::size_t parsed = 0;
   std::size_t rejected = 0;
@@ -295,6 +307,168 @@ TEST(Mutation, ResultsTextFailsCleanlyOrRoundTrips) {
 
 }  // namespace
 }  // namespace fem2::appvm
+
+namespace fem2::hgraph {
+namespace {
+
+/// The grammar texts in spec: the five layers and the transform grammar.
+std::vector<std::string> grammar_corpus() {
+  return {std::string(spec::appvm_grammar_text()),
+          std::string(spec::db_grammar_text()),
+          std::string(spec::navm_grammar_text()),
+          std::string(spec::sysvm_grammar_text()),
+          std::string(spec::hw_grammar_text()),
+          spec::appvm_transform_grammar_text()};
+}
+
+bool is_ident(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// [begin, end) of each token of a grammar text, as the grammar lexer
+/// reads them: identifiers, "::=", "[*]", "..." and single punctuation.
+std::vector<std::pair<std::size_t, std::size_t>> token_spans(
+    std::string_view text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+      continue;
+    }
+    if (text[i] == '#') {
+      while (i < text.size() && text[i] != '\n') ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    if (is_ident(text[i])) {
+      while (end < text.size() && is_ident(text[end])) ++end;
+    } else {
+      for (const std::string_view multi : {"::=", "[*]", "..."})
+        if (text.substr(i).starts_with(multi)) end = i + multi.size();
+    }
+    spans.emplace_back(i, end);
+    i = end;
+  }
+  return spans;
+}
+
+/// The text's lines, each with its '\n'.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    lines.push_back(text.substr(start, end + 1 - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+/// One random mutation of corpus[which].
+std::string mutate_grammar(const std::vector<std::string>& corpus,
+                           std::size_t which, support::Rng& rng) {
+  std::string text = corpus[which];
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  switch (rng.next_below(4)) {
+    case 0:  // byte flips
+      for (std::size_t k = 1 + pick(4); k > 0; --k)
+        text[pick(text.size())] = static_cast<char>(rng.next_below(256));
+      return text;
+    case 1:  // dropped tokens
+      for (std::size_t k = 1 + pick(3); k > 0; --k) {
+        const auto spans = token_spans(text);
+        if (spans.empty()) break;
+        const auto [begin, end] = spans[pick(spans.size())];
+        text.erase(begin, end - begin);
+      }
+      return text;
+    case 2:  // duplicated tokens, glued on or apart
+      for (std::size_t k = 1 + pick(3); k > 0; --k) {
+        const auto spans = token_spans(text);
+        const auto [begin, end] = spans[pick(spans.size())];
+        const std::string token = text.substr(begin, end - begin);
+        text.insert(end, rng.chance(0.5) ? " " + token : token);
+      }
+      return text;
+    default: {  // lines of another grammar spliced in
+      const auto lines = lines_of(text);
+      const auto other = lines_of(corpus[pick(corpus.size())]);
+      const std::size_t cut = pick(lines.size() + 1);
+      const std::size_t from = pick(other.size());
+      const std::size_t to = from + 1 + pick(other.size() - from);
+      std::string out;
+      for (std::size_t i = 0; i < cut; ++i) out += lines[i];
+      for (std::size_t i = from; i < to; ++i) out += other[i];
+      for (std::size_t i = cut + pick(2); i < lines.size(); ++i)
+        out += lines[i];
+      return out;
+    }
+  }
+}
+
+struct GrammarOutcomes {
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+};
+
+/// Parses `text`: a GrammarParseError, or a grammar whose validate()
+/// passes.  Returns the largest allocation the parse made.
+std::size_t parse_case(const std::string& text, GrammarOutcomes& outcomes) {
+  g_largest_allocation = 0;
+  g_watch_allocations = true;
+  try {
+    const Grammar grammar = parse_grammar(text);
+    g_watch_allocations = false;
+    const ConformanceResult valid = grammar.validate();
+    EXPECT_TRUE(valid.ok) << valid.error << " on:\n" << escaped(text);
+    ++outcomes.parsed;
+  } catch (const GrammarParseError&) {
+    g_watch_allocations = false;
+    ++outcomes.rejected;
+  } catch (const std::exception& e) {
+    g_watch_allocations = false;
+    ADD_FAILURE() << "threw " << e.what() << " on:\n" << escaped(text);
+  }
+  return g_largest_allocation;
+}
+
+/// The most one allocation of a parse may take for a text of n bytes: a
+/// token vector of at most n + 1 tokens (capacity doubled), or a message
+/// quoting the text.
+std::size_t allocation_bound(std::size_t n) { return 128 * (n + 16); }
+
+TEST(GrammarMutation, ParseFailsCleanlyOrValidates) {
+  const std::vector<std::string> corpus = grammar_corpus();
+  GrammarOutcomes outcomes;
+  const auto run = [&](const std::string& text) {
+    EXPECT_LE(parse_case(text, outcomes), allocation_bound(text.size()))
+        << escaped(text);
+    return !::testing::Test::HasFailure();
+  };
+  for (const auto& text : corpus) ASSERT_TRUE(run(text));
+  ASSERT_EQ(outcomes.parsed, corpus.size());
+  // Every prefix of the database layer's grammar.
+  for (std::size_t cut = 0; cut < corpus[1].size(); ++cut)
+    if (!run(corpus[1].substr(0, cut))) return;
+  support::Rng rng(0x6772616d);
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string text =
+        mutate_grammar(corpus, rng.next_below(corpus.size()), rng);
+    if (!run(text)) {
+      ADD_FAILURE() << "case " << i;
+      return;
+    }
+  }
+  // Both outcomes must be common, or the mutations test little.
+  EXPECT_GT(outcomes.parsed, 1'000u);
+  EXPECT_GT(outcomes.rejected, 2'000u);
+}
+
+}  // namespace
+}  // namespace fem2::hgraph
 
 namespace fem2::db {
 namespace {

@@ -275,6 +275,41 @@ TEST(Serve, OversizedMeshFailsBeforeBuilding) {
   }
 }
 
+TEST(Serve, DensePathsRefuseOversizedModelsBeforeDensifying) {
+  // Served sessions share the console's dense dof limit: `solve using
+  // cholesky` and `modes` on a model past it fail at once (a 7,500-dof
+  // dense matrix alone would be 450 MB), and the session keeps its model
+  // and results.
+  Server server(memory_engine(), small_pool());
+  const auto opened = server.open_session("acme", "alice");
+  ASSERT_NE(opened.session, 0u);
+  for (const auto& [mesh, load_set] :
+       {std::pair<const char*, const char*>{"mesh beam segments=500", "tip"},
+        {"mesh beam segments=2499", "tip"},
+        {"mesh plate nx=49 ny=49", "tip-shear"},
+        {"mesh truss bays=376", "deck"}}) {
+    ASSERT_TRUE(server.call(opened.session, mesh).ok) << mesh;
+    const std::string solve = std::string("solve ") + load_set;
+    ASSERT_TRUE(server.call(opened.session, solve + " using skyline").ok);
+    const std::string model = server.call(opened.session, "show model").text;
+    const std::string results =
+        server.call(opened.session, "show displacements").text;
+    for (const std::string& line :
+         {solve + " using cholesky", std::string("modes"),
+          std::string("modes 3")}) {
+      const Response r = server.call(opened.session, line);
+      EXPECT_FALSE(r.ok) << mesh << ": " << line;
+      EXPECT_EQ(r.kind, Response::FailureKind::Other) << line;
+      EXPECT_NE(r.text.find(std::to_string(appvm::Session::kMaxDenseDofs)),
+                std::string::npos)
+          << r.text;
+      EXPECT_EQ(server.call(opened.session, "show model").text, model);
+      EXPECT_EQ(server.call(opened.session, "show displacements").text,
+                results);
+    }
+  }
+}
+
 TEST(Serve, FullQueueAnswersOverloaded) {
   auto engine = memory_engine();
   ServerOptions options = small_pool(1);

@@ -8,9 +8,12 @@ each sampled program counter with its count.  A PC maps to a file offset
 through the mapping that holds it (pc - start + offset), and the offset
 to a link-time address through the ELF program header that loads it
 (offset - p_offset + p_vaddr).  The function is the nearest text symbol
-at or below that address: from `nm -C` of the file, or `nm -C -D` when
-the file has no symbol table (a stripped shared library), so a PC in a
-library's private code is charged to the exported function before it.
+at or below that address: from `nm -C -S` of the file, or `nm -C -S -D`
+when the file has no symbol table (a stripped shared library).  A PC
+past the end of that symbol, as nm's size gives it, lies in code no
+symbol names (a stripped library's private functions), and is reported
+as "[NAME+0xOFF, past its 0xSIZE bytes]" rather than charged to NAME; a
+symbol with no recorded size takes every PC up to the next symbol.
 PCs outside every file mapping are charged to the mapping's name
 ([vdso], [heap], ...) or to [unmapped].
 """
@@ -92,20 +95,33 @@ def link_address(mapping: Mapping, pc: int,
     return None
 
 
-def parse_nm(text: str) -> list[tuple[int, str]]:
-    """Sorted (address, name) of the text symbols in `nm -C` output."""
+def parse_nm(text: str) -> list[tuple[int, str, int]]:
+    """Sorted (address, name, size) of the text symbols in `nm -C -S`
+    output; size is 0 where nm gives none."""
     symbols = []
     for line in text.splitlines():
         parts = line.split(maxsplit=2)
-        if len(parts) == 3 and parts[1] in TEXT_TYPES:
-            symbols.append((int(parts[0], 16), parts[2]))
+        if len(parts) == 3 and len(parts[1]) > 1:  # "address size type name"
+            parts = line.split(maxsplit=3)
+            if len(parts) == 4 and parts[2] in TEXT_TYPES:
+                symbols.append((int(parts[0], 16), parts[3],
+                                int(parts[1], 16)))
+        elif len(parts) == 3 and parts[1] in TEXT_TYPES:
+            symbols.append((int(parts[0], 16), parts[2], 0))
     return sorted(symbols)
 
 
-def nearest_symbol(symbols: list[tuple[int, str]], address: int) -> str | None:
-    """The name of the last symbol at or below address."""
+def nearest_symbol(symbols: list[tuple[int, str, int]],
+                   address: int) -> str | None:
+    """The function at address: the last symbol at or below it, or, past
+    that symbol's recorded size, a label for the code after it."""
     i = bisect.bisect_right(symbols, (address, chr(0x10FFFF))) - 1
-    return symbols[i][1] if i >= 0 else None
+    if i < 0:
+        return None
+    start, name, size = symbols[i]
+    if size and address >= start + size:
+        return f"[{name}+{address - start:#x}, past its {size:#x} bytes]"
+    return name
 
 
 def elf_segments(path: str) -> list[Segment]:
@@ -127,9 +143,9 @@ def elf_segments(path: str) -> list[Segment]:
     return segments
 
 
-def nm_symbols(path: str) -> list[tuple[int, str]]:
+def nm_symbols(path: str) -> list[tuple[int, str, int]]:
     """Text symbols of a file: its symbol table, else its dynamic one."""
-    for flags in (["-C"], ["-C", "-D"]):
+    for flags in (["-C", "-S"], ["-C", "-S", "-D"]):
         proc = subprocess.run(["nm", *flags, "--defined-only", path],
                               stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, text=True,
@@ -141,12 +157,12 @@ def nm_symbols(path: str) -> list[tuple[int, str]]:
 
 
 def attribute(maps: list[Mapping], samples: list[tuple[int, int]],
-              symbols_of: Callable[[str], list[tuple[int, str]]],
+              symbols_of: Callable[[str], list[tuple[int, str, int]]],
               segments_of: Callable[[str], list[Segment]]
               ) -> list[tuple[int, str, str]]:
     """[(samples, function, object)], most samples first."""
     counts: collections.Counter = collections.Counter()
-    symbols: dict[str, list[tuple[int, str]]] = {}
+    symbols: dict[str, list[tuple[int, str, int]]] = {}
     segments: dict[str, list[Segment]] = {}
     for pc, count in samples:
         mapping = find_mapping(maps, pc)

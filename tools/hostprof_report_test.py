@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Tests for hostprof_report.py's offset and symbol arithmetic.
 
-A synthetic dump maps a position-independent program and a shared
-library whose text segment loads at a different address than its file
-offset; symbol tables and program headers are given in place of nm and
-the files, so every expected attribution can be worked out by hand.  The
+A synthetic dump maps a position-independent program, a shared library
+whose text segment loads at a different address than its file offset,
+and a stripped library whose dynamic symbols carry sizes; symbol tables
+and program headers are given in place of nm and the files, so every
+expected attribution can be worked out by hand.  The
 sampler itself is not run here.  Run directly or through ctest
 (tools.hostprof_report_test).
 """
@@ -25,14 +26,20 @@ maps
 555555555000-555555557000 r-xp 00001000 08:01 11 /opt/app/prog
 7f0000000000-7f0000002000 r--p 00000000 08:01 22 /lib/libm.so.6
 7f0000002000-7f0000004000 r-xp 00002000 08:01 22 /lib/libm.so.6
+7f1000000000-7f1000002000 r-xp 00000000 08:01 33 /lib/libc.so.6
 7ffff7fc1000-7ffff7fc3000 r-xp 00000000 00:00 0 [vdso]
 7ffff7ff0000-7ffff7ff1000 rw-p 00000000 00:00 0
-samples 15 2
+samples 21 2
 555555555120 5
 555555555180 2
 555555556010 3
 7f0000002410 1
 7f0000003ff0 1
+7f1000000104 1
+7f1000000110 1
+7f1000000800 2
+7f1000001004 1
+7f1000001800 1
 7ffff7fc1100 1
 7ffff7ff0008 1
 900000000000 1
@@ -53,38 +60,55 @@ NM_PROG = """0000000000001100 T relax
 NM_LIB = """0000000000012400 T sqrt
 0000000000012800 W hypot
 """
+# `nm -C -S -D` of a stripped library: a 9-byte exported function with
+# private code after it, a sized function, and one with no size.
+FROM_CHARS = ("std::from_chars(char const*, char const*, long double&, "
+              "std::chars_format)")
+NM_LIBC = f"""0000000000000100 0000000000000009 T {FROM_CHARS}
+0000000000001000 0000000000000020 i memcpy
+0000000000001800 T _start
+0000000000001900 0000000000000010 D data_table
+0000000000000000 A GLIBC_2.2.5
+"""
+LIBC_SEGMENTS = [hp.Segment(0x0, 0x0, 0x2000)]
 
 
 def symbols_of(path):
     return hp.parse_nm({"/opt/app/prog": NM_PROG,
-                        "/lib/libm.so.6": NM_LIB}[path])
+                        "/lib/libm.so.6": NM_LIB,
+                        "/lib/libc.so.6": NM_LIBC}[path])
 
 
 def segments_of(path):
-    return {"/opt/app/prog": PROG_SEGMENTS, "/lib/libm.so.6": LIB_SEGMENTS}[
-        path]
+    return {"/opt/app/prog": PROG_SEGMENTS, "/lib/libm.so.6": LIB_SEGMENTS,
+            "/lib/libc.so.6": LIBC_SEGMENTS}[path]
 
 
 class ParseTest(unittest.TestCase):
     def test_dump(self):
         maps, samples, dropped = hp.parse_dump(DUMP)
-        self.assertEqual(len(maps), 6)
+        self.assertEqual(len(maps), 7)
         self.assertEqual(maps[1], hp.Mapping(0x555555555000, 0x555555557000,
                                              0x1000, "/opt/app/prog"))
-        self.assertEqual(maps[5].path, "")
+        self.assertEqual(maps[6].path, "")
         self.assertEqual(samples[0], (0x555555555120, 5))
         self.assertEqual(dropped, 2)
 
     def test_counts_must_add_up(self):
         with self.assertRaises(ValueError):
-            hp.parse_dump(DUMP.replace("samples 15 2", "samples 16 2"))
+            hp.parse_dump(DUMP.replace("samples 21 2", "samples 22 2"))
         with self.assertRaises(ValueError):
             hp.parse_dump("perf 1\nmaps\nsamples 0 0\n")
 
     def test_nm_keeps_text_symbols_sorted(self):
         self.assertEqual(hp.parse_nm(NM_PROG),
-                         [(0x1100, "relax"), (0x1160, "relax_row"),
-                          (0x2000, "factorize")])
+                         [(0x1100, "relax", 0), (0x1160, "relax_row", 0),
+                          (0x2000, "factorize", 0)])
+
+    def test_nm_sizes_and_names_with_spaces(self):
+        self.assertEqual(hp.parse_nm(NM_LIBC),
+                         [(0x100, FROM_CHARS, 0x9), (0x1000, "memcpy", 0x20),
+                          (0x1800, "_start", 0)])
 
 
 class ArithmeticTest(unittest.TestCase):
@@ -116,6 +140,19 @@ class ArithmeticTest(unittest.TestCase):
         self.assertEqual(hp.nearest_symbol(symbols, 0x1160), "relax_row")
         self.assertIsNone(hp.nearest_symbol(symbols, 0x10ff))
 
+    def test_past_a_symbols_size_is_code_after_it(self):
+        symbols = hp.parse_nm(NM_LIBC)
+        self.assertEqual(hp.nearest_symbol(symbols, 0x108), FROM_CHARS)
+        self.assertEqual(hp.nearest_symbol(symbols, 0x109),
+                         f"[{FROM_CHARS}+0x9, past its 0x9 bytes]")
+        self.assertEqual(hp.nearest_symbol(symbols, 0xfff),
+                         f"[{FROM_CHARS}+0xeff, past its 0x9 bytes]")
+        self.assertEqual(hp.nearest_symbol(symbols, 0x101f), "memcpy")
+        self.assertEqual(hp.nearest_symbol(symbols, 0x1020),
+                         "[memcpy+0x20, past its 0x20 bytes]")
+        # No recorded size: today's rule, up to the next symbol.
+        self.assertEqual(hp.nearest_symbol(symbols, 0x1fff), "_start")
+
 
 class AttributeTest(unittest.TestCase):
     def test_flat_table(self):
@@ -124,12 +161,17 @@ class AttributeTest(unittest.TestCase):
         self.assertEqual(rows, [
             (5, "relax", "prog"),
             (3, "factorize", "prog"),
+            (2, f"[{FROM_CHARS}+0x700, past its 0x9 bytes]", "libc.so.6"),
             (2, "relax_row", "prog"),
             (1, "[anonymous]", ""),
             (1, "[libm.so.6+0x3ff0]", "libm.so.6"),
+            (1, f"[{FROM_CHARS}+0x10, past its 0x9 bytes]", "libc.so.6"),
             (1, "[unmapped]", ""),
             (1, "[vdso]", ""),
+            (1, "_start", "libc.so.6"),
+            (1, "memcpy", "libc.so.6"),
             (1, "sqrt", "libm.so.6"),
+            (1, FROM_CHARS, "libc.so.6"),
         ])
 
 
