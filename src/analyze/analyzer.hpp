@@ -55,7 +55,7 @@ class Analyzer final : public sysvm::OsObserver, public navm::RuntimeObserver {
   Analyzer(const Analyzer&) = delete;
   Analyzer& operator=(const Analyzer&) = delete;
 
-  /// Lint all four layer grammars (pass 1).  Static: needs no live system.
+  /// Lint all five layer grammars (pass 1).  Static: needs no live system.
   static std::vector<Finding> lint_layer_grammars();
 
   /// Replace a layer's conformance grammar (tests seed violations).
@@ -65,10 +65,6 @@ class Analyzer final : public sysvm::OsObserver, public navm::RuntimeObserver {
   void check_now();
 
   const std::vector<Finding>& findings() const { return findings_; }
-  /// Errors (not warnings/infos) accumulated so far.
-  std::size_t error_count() const {
-    return count_at_least(findings_, Severity::Error);
-  }
   AnalyzerStats stats() const;
 
   // --- sysvm::OsObserver --------------------------------------------------

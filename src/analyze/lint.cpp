@@ -5,6 +5,8 @@
 #include <set>
 #include <string>
 
+#include "hgraph/grammar_algorithms.hpp"
+
 namespace fem2::analyze {
 
 namespace {
@@ -14,21 +16,16 @@ using hgraph::ArcPattern;
 using hgraph::AtomKind;
 using hgraph::Composite;
 using hgraph::Grammar;
-using hgraph::Multiplicity;
 using hgraph::NonterminalRef;
 using hgraph::Rule;
 using hgraph::SourceLoc;
 
-/// Nonterminals an alternative references (arc targets and aliases).
-void collect_references(const Alternative& alt,
-                        std::set<std::string>& out) {
-  if (const auto* ref = std::get_if<NonterminalRef>(&alt)) {
-    out.insert(ref->name);
-    return;
-  }
-  if (const auto* comp = std::get_if<Composite>(&alt)) {
-    for (const auto& pat : comp->arcs) out.insert(pat.nonterminal);
-  }
+/// Nonterminals the rules of one nonterminal reference.
+std::set<std::string> referenced_names(const std::vector<Rule>& rules) {
+  std::set<std::string> out;
+  for (const auto& rule : rules)
+    for (const auto& ref : hgraph::references(rule)) out.emplace(ref.name);
+  return out;
 }
 
 bool alternatives_equal(const Alternative& a, const Alternative& b) {
@@ -49,13 +46,6 @@ bool alternatives_equal(const Alternative& a, const Alternative& b) {
       return false;
   }
   return true;
-}
-
-/// matches(a) is a subset of matches(b) for leaf atom alternatives.
-bool atom_subsumed_by(AtomKind a, AtomKind b) {
-  if (a == b) return true;
-  if (b == AtomKind::Any) return true;
-  return a == AtomKind::Int && b == AtomKind::Real;
 }
 
 class Linter {
@@ -91,25 +81,16 @@ class Linter {
   void check_undefined() {
     for (const auto& [name, rules] : grammar_.rules()) {
       for (const auto& rule : rules) {
-        if (const auto* ref =
-                std::get_if<NonterminalRef>(&rule.alternative)) {
-          if (!grammar_.has_rule(ref->name)) {
-            emit(Severity::Error, "undefined-nonterminal", name,
-                 "alternative refers to undefined nonterminal '" + ref->name +
-                     "'",
-                 rule.loc);
-          }
-          continue;
-        }
-        const auto* comp = std::get_if<Composite>(&rule.alternative);
-        if (comp == nullptr) continue;
-        for (const auto& pat : comp->arcs) {
-          if (!grammar_.has_rule(pat.nonterminal)) {
-            emit(Severity::Error, "undefined-nonterminal", name,
-                 "arc '" + pat.label + "' targets undefined nonterminal '" +
-                     pat.nonterminal + "'",
-                 pat.loc.known() ? pat.loc : rule.loc);
-          }
+        for (const auto& ref : hgraph::references(rule)) {
+          if (grammar_.has_rule(ref.name)) continue;
+          const std::string target(ref.name);
+          emit(Severity::Error, "undefined-nonterminal", name,
+               ref.arc == nullptr
+                   ? "alternative refers to undefined nonterminal '" +
+                         target + "'"
+                   : "arc '" + ref.arc->label +
+                         "' targets undefined nonterminal '" + target + "'",
+               ref.loc);
         }
       }
     }
@@ -119,8 +100,7 @@ class Linter {
     // Roots: configured, or inferred as "referenced by no other rule".
     std::set<std::string> referenced_by_others;
     for (const auto& [name, rules] : grammar_.rules()) {
-      std::set<std::string> refs;
-      for (const auto& rule : rules) collect_references(rule.alternative, refs);
+      std::set<std::string> refs = referenced_names(rules);
       refs.erase(name);  // self-recursion doesn't anchor reachability
       referenced_by_others.insert(refs.begin(), refs.end());
     }
@@ -153,10 +133,7 @@ class Linter {
       frontier.pop_front();
       const auto it = grammar_.rules().find(name);
       if (it == grammar_.rules().end()) continue;
-      std::set<std::string> refs;
-      for (const auto& rule : it->second)
-        collect_references(rule.alternative, refs);
-      for (const auto& ref : refs) {
+      for (const auto& ref : referenced_names(it->second)) {
         if (Grammar::is_builtin(ref)) continue;
         if (reached.insert(ref).second) frontier.push_back(ref);
       }
@@ -170,26 +147,7 @@ class Linter {
   }
 
   void check_unproductive() {
-    // Least fixpoint: a nonterminal is productive if some alternative can
-    // derive a finite object.  Atoms and aliases to builtins are the base;
-    // a composite needs every mandatory (One-multiplicity) arc target
-    // productive — Optional/Star/IndexedFamily arcs admit zero arcs, so
-    // they never block productivity.
-    std::set<std::string> productive;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const auto& [name, rules] : grammar_.rules()) {
-        if (productive.contains(name)) continue;
-        for (const auto& rule : rules) {
-          if (alternative_productive(rule.alternative, productive)) {
-            productive.insert(name);
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
+    const auto productive = hgraph::productive_nonterminals(grammar_);
     for (const auto& [name, rules] : grammar_.rules()) {
       if (productive.contains(name)) continue;
       emit(Severity::Warning, "unproductive-nonterminal", name,
@@ -197,21 +155,6 @@ class Linter {
            "mandatory occurrence of an unproductive nonterminal)",
            rules.empty() ? SourceLoc{} : rules.front().loc);
     }
-  }
-
-  static bool alternative_productive(const Alternative& alt,
-                                     const std::set<std::string>& productive) {
-    if (std::holds_alternative<AtomKind>(alt)) return true;
-    if (const auto* ref = std::get_if<NonterminalRef>(&alt)) {
-      return Grammar::is_builtin(ref->name) || productive.contains(ref->name);
-    }
-    const auto& comp = std::get<Composite>(alt);
-    for (const auto& pat : comp.arcs) {
-      if (pat.multiplicity != Multiplicity::One) continue;
-      if (Grammar::is_builtin(pat.nonterminal)) continue;
-      if (!productive.contains(pat.nonterminal)) return false;
-    }
-    return true;
   }
 
   void check_duplicate_productions() {
@@ -269,7 +212,7 @@ class Linter {
           if (i == j) continue;
           const auto* kb = std::get_if<AtomKind>(&rules[j].alternative);
           if (kb == nullptr || *ka == *kb) continue;
-          if (atom_subsumed_by(*ka, *kb)) {
+          if (hgraph::atom_subsumed(*ka, *kb)) {
             emit(Severity::Warning, "atom-conflict", name,
                  std::string("alternative ") +
                      std::string(atom_kind_name(*ka)) + " is subsumed by " +

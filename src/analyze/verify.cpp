@@ -1,5 +1,6 @@
 #include "analyze/verify.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <set>
@@ -15,69 +16,13 @@ namespace fem2::analyze {
 
 namespace {
 
-using hgraph::Alternative;
 using hgraph::AtomKind;
 using hgraph::Composite;
 using hgraph::Grammar;
 using hgraph::Multiplicity;
-using hgraph::NonterminalRef;
 using hgraph::RuleOp;
-using hgraph::RuleSpec;
 using hgraph::SimulationRelation;
-
-/// Atom kind `a` acceptable where `b` is required (REAL accepts INT; ANY
-/// accepts everything) — mirrors the conformance recognizer.
-bool atom_subsumed(AtomKind a, AtomKind b) {
-  return a == b || b == AtomKind::Any ||
-         (a == AtomKind::Int && b == AtomKind::Real);
-}
-
-AtomKind builtin_kind(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  return AtomKind::Any;
-}
-
-/// The alternatives of `nt` with alias chains flattened: composite
-/// patterns and bare atom constraints.
-struct FlatAlts {
-  std::vector<const Composite*> composites;
-  std::vector<AtomKind> atoms;
-  bool defined = false;
-};
-
-void flatten_into(const Grammar& g, const std::string& nt, FlatAlts& out,
-                  std::set<std::string>& seen) {
-  if (!seen.insert(nt).second) return;
-  if (Grammar::is_builtin(nt)) {
-    out.defined = true;
-    out.atoms.push_back(builtin_kind(nt));
-    return;
-  }
-  const auto it = g.rules().find(nt);
-  if (it == g.rules().end()) return;
-  out.defined = true;
-  for (const auto& rule : it->second) {
-    if (const auto* atom = std::get_if<AtomKind>(&rule.alternative)) {
-      out.atoms.push_back(*atom);
-    } else if (const auto* comp =
-                   std::get_if<Composite>(&rule.alternative)) {
-      out.composites.push_back(comp);
-    } else if (const auto* ref =
-                   std::get_if<NonterminalRef>(&rule.alternative)) {
-      flatten_into(g, ref->name, out, seen);
-    }
-  }
-}
-
-FlatAlts flatten(const Grammar& g, const std::string& nt) {
-  FlatAlts out;
-  std::set<std::string> seen;
-  flatten_into(g, nt, out, seen);
-  return out;
-}
+using hgraph::atom_subsumed;
 
 // ---------------------------------------------------------------------------
 // Pass 2: abstract interpretation of RuleSpecs
@@ -144,13 +89,13 @@ class AbstractInterpreter {
               ">: " + sim_.explain(value.nt, target);
         return false;
       case AbsValue::Kind::Atom: {
-        const FlatAlts alts = flatten(g_, target);
-        if (!alts.defined) {
+        if (!g_.has_rule(target)) {
           why = "target nonterminal <" + target + "> is undefined";
           return false;
         }
-        for (const AtomKind k : alts.atoms)
-          if (atom_subsumed(value.atom, k)) return true;
+        for (const auto& alt : hgraph::flat_alternatives(g_, target))
+          if (alt.is_atom() && atom_subsumed(value.atom, alt.atom))
+            return true;
         why = "a " + value.describe() + " atom is not admitted by <" +
               target + ">";
         return false;
@@ -167,25 +112,26 @@ class AbstractInterpreter {
     if (!nodes_[index].sealed_nt.empty()) {
       return conforms(AbsValue::of_nt(nodes_[index].sealed_nt), target, why);
     }
-    const FlatAlts alts = flatten(g_, target);
-    if (!alts.defined) {
+    if (!g_.has_rule(target)) {
       why = "target nonterminal <" + target + "> is undefined";
       return false;
     }
+    const auto alts = hgraph::flat_alternatives(g_, target);
     // A fresh node carries a NIL own-atom, so a bare atom alternative can
     // only admit it with no arcs attached.
     const AbsNode& node = nodes_[index];
-    for (const AtomKind k : alts.atoms) {
-      if (node.arcs.empty() && node.families.empty() &&
-          atom_subsumed(AtomKind::Nil, k)) {
+    for (const auto& alt : alts) {
+      if (alt.is_atom() && node.arcs.empty() && node.families.empty() &&
+          atom_subsumed(AtomKind::Nil, alt.atom)) {
         nodes_[index].sealed_nt = target;
         return true;
       }
     }
     std::string last_error = "<" + target + "> has no composite alternative";
-    for (const Composite* comp : alts.composites) {
+    for (const auto& alt : alts) {
+      if (alt.is_atom()) continue;
       std::string error;
-      if (matches_composite(node, *comp, error)) {
+      if (matches_composite(node, *alt.composite, error)) {
         nodes_[index].sealed_nt = target;
         return true;
       }
@@ -220,18 +166,20 @@ class AbstractInterpreter {
   bool member_target(const std::string& nt, const std::string& label,
                      Multiplicity required, std::string& out,
                      std::string& why) {
-    const FlatAlts alts = flatten(g_, nt);
+    const auto alts = hgraph::flat_alternatives(g_, nt);
     const char* what =
         required == Multiplicity::One ? "mandatory arc" : "indexed family";
-    if (!alts.defined || alts.composites.empty()) {
+    const auto is_atom = [](const auto& alt) { return alt.is_atom(); };
+    if (std::all_of(alts.begin(), alts.end(), is_atom)) {
       why = "<" + nt + "> has no composite alternative with " +
             std::string(what) + " '" + label + "'";
       return false;
     }
     out.clear();
-    for (const Composite* comp : alts.composites) {
+    for (const auto& alt : alts) {
+      if (alt.is_atom()) continue;
       const hgraph::ArcPattern* found = nullptr;
-      for (const auto& pattern : comp->arcs) {
+      for (const auto& pattern : alt.composite->arcs) {
         if (pattern.label == label && pattern.multiplicity == required) {
           found = &pattern;
           break;
@@ -250,7 +198,7 @@ class AbstractInterpreter {
         return false;
       }
     }
-    if (alts.atoms.size() > 0) {
+    if (std::any_of(alts.begin(), alts.end(), is_atom)) {
       why = "an atom alternative of <" + nt + "> has no arc '" + label + "'";
       return false;
     }

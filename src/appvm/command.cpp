@@ -155,15 +155,20 @@ Response Session::execute(const std::string& line) {
   }
 }
 
-Response Session::execute_with_retry(const std::string& line) {
-  db::RetrySchedule schedule(retry_policy_);
+Response with_retry(const db::RetryPolicy& policy, const db::Sleeper& sleeper,
+                    const std::function<Response()>& attempt) {
+  db::RetrySchedule schedule(policy);
   for (;;) {
-    Response response = execute(line);
+    Response response = attempt();
     if (response.ok || !Response::retryable(response.kind)) return response;
     const auto delay = schedule.next_delay();
     if (!delay) return response;
-    if (delay->count() > 0) sleeper_(*delay);
+    if (delay->count() > 0) sleeper(*delay);
   }
+}
+
+Response Session::execute_with_retry(const std::string& line) {
+  return with_retry(retry_policy_, sleeper_, [&] { return execute(line); });
 }
 
 std::vector<Response> Session::execute_script(const std::string& script,
@@ -370,8 +375,13 @@ Response Session::cmd_solve(const std::vector<std::string>& tokens) {
 
 Response Session::cmd_modes(const std::vector<std::string>& tokens) {
   if (tokens.size() > 2) return {false, "usage: modes [count]"};
-  const std::size_t count = tokens.size() == 2 ? to_index(tokens[1]) : 4;
+  const std::size_t count =
+      tokens.size() == 2 ? to_index(tokens[1]) : kMaxModes;
   if (count == 0) return {false, "mode count must be positive"};
+  if (count > kMaxModes)
+    return {false, "modes " + std::to_string(count) + " asks for more than " +
+                       std::to_string(kMaxModes) +
+                       " modes (the mode count limit)"};
   if (auto refused = dense_too_large("modes", workspace_.model().total_dofs()))
     return *refused;
   const auto modal = fem::modal_analysis(workspace_.model(), count);

@@ -4,6 +4,7 @@
 // database model the multi-user workstation.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,8 +30,7 @@ struct Response {
     Other,
   };
 
-  /// The retry contract, shared by Session::execute_with_retry and the
-  /// serve layer's call_with_retry.
+  /// The retry contract: which failures with_retry runs again.
   static bool retryable(FailureKind kind) {
     return kind == FailureKind::Conflict || kind == FailureKind::TransientIo ||
            kind == FailureKind::QuotaExceeded ||
@@ -41,6 +41,12 @@ struct Response {
   std::string text;
   FailureKind kind = FailureKind::None;
 };
+
+/// Runs `attempt` until it succeeds or fails for good: after a retryable
+/// failure it waits the policy's next backoff through `sleeper` and tries
+/// again, and once the policy gives up it returns the last failure.
+Response with_retry(const db::RetryPolicy& policy, const db::Sleeper& sleeper,
+                    const std::function<Response()>& attempt);
 
 class Session {
  public:
@@ -101,6 +107,14 @@ class Session {
   /// command leaves the workspace model and results as they were.  The
   /// 48x12 sheet has 1,274 dofs.
   static constexpr std::size_t kMaxDenseDofs = 1'500;
+
+  /// Most modes one `modes` command may ask for, in console and served
+  /// sessions alike, and the count `modes` asks for by default.  n modes
+  /// iterate a subspace of 2n vectors (n + 2 for n = 1), each costing a
+  /// dense triangular solve per iteration, for up to 500 iterations; the
+  /// count is checked before anything is assembled.  At the dense dof
+  /// limit 4 modes can take half a minute, 8 a whole one.
+  static constexpr std::size_t kMaxModes = 4;
 
  private:
   Response dispatch(const std::vector<std::string>& tokens);

@@ -17,14 +17,12 @@ class Workspace {
   fem::StructureModel& model();
   const fem::StructureModel& model() const;
   void set_model(fem::StructureModel model) { model_ = std::move(model); }
-  void clear_model() { model_.reset(); results_.reset(); }
 
   bool has_results() const { return results_.has_value(); }
   const fem::AnalysisResult& results() const;
   void set_results(fem::AnalysisResult results) {
     results_ = std::move(results);
   }
-  void clear_results() { results_.reset(); }
 
   /// Dynamic storage in use by this workspace (bytes).
   std::size_t storage_bytes() const;

@@ -73,22 +73,4 @@ using Sleeper = std::function<void(std::chrono::microseconds)>;
 /// The default Sleeper: actually sleep.
 void sleep_for(std::chrono::microseconds delay);
 
-/// Run `op` under `policy`, retrying when `retryable(exception)` says so.
-/// The final failure (or a non-retryable one) propagates unchanged.
-template <typename Op, typename Retryable>
-auto with_retry(const RetryPolicy& policy, Op&& op, Retryable&& retryable,
-                const Sleeper& sleeper = sleep_for) -> decltype(op()) {
-  RetrySchedule schedule(policy);
-  for (;;) {
-    try {
-      return op();
-    } catch (const std::exception& error) {
-      if (!retryable(error)) throw;
-      const auto delay = schedule.next_delay();
-      if (!delay) throw;
-      if (delay->count() > 0) sleeper(*delay);
-    }
-  }
-}
-
 }  // namespace fem2::db

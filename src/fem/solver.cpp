@@ -90,52 +90,6 @@ StaticSolution solve_static(const StructureModel& model,
   return solve_reduced(system, rhs, options);
 }
 
-std::map<std::string, StaticSolution> solve_static_all_load_sets(
-    const StructureModel& model, const SolverOptions& options) {
-  if (model.load_sets.empty())
-    throw support::Error("model has no load sets");
-  const AssembledSystem system = assemble(model);
-  std::map<std::string, StaticSolution> out;
-
-  if (options.kind == SolverKind::SkylineDirect) {
-    // Factor once, back-substitute per load set.
-    la::SkylineMatrix sky = la::SkylineMatrix::from_csr(system.stiffness);
-    sky.factorize();
-    for (const auto& [name, loads] : model.load_sets) {
-      const auto rhs = system.load_vector(loads);
-      StaticSolution solution;
-      solution.stats.method = "skyline-cholesky (shared factorization)";
-      solution.stats.matrix_storage_bytes = sky.storage_bytes();
-      const auto reduced = sky.solve(rhs);
-      solution.stats.residual =
-          la::relative_residual(system.stiffness, reduced, rhs);
-      solution.displacements = system.expand(reduced);
-      out.emplace(name, std::move(solution));
-    }
-    return out;
-  }
-  if (options.kind == SolverKind::DenseCholesky) {
-    la::CholeskyFactorization chol(system.stiffness.to_dense());
-    for (const auto& [name, loads] : model.load_sets) {
-      const auto rhs = system.load_vector(loads);
-      StaticSolution solution;
-      solution.stats.method = "dense-cholesky (shared factorization)";
-      const auto reduced = chol.solve(rhs);
-      solution.stats.residual =
-          la::relative_residual(system.stiffness, reduced, rhs);
-      solution.displacements = system.expand(reduced);
-      out.emplace(name, std::move(solution));
-    }
-    return out;
-  }
-  // Iterative methods re-solve per load set (assembly still shared).
-  for (const auto& [name, loads] : model.load_sets) {
-    const auto rhs = system.load_vector(loads);
-    out.emplace(name, solve_reduced(system, rhs, options));
-  }
-  return out;
-}
-
 StaticSolution solve_static_parallel(const StructureModel& model,
                                      const std::string& load_set,
                                      navm::Runtime& runtime,

@@ -3,7 +3,6 @@
 // the simulated FEM-2 machine.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "fem/assembly.hpp"
@@ -54,12 +53,6 @@ StaticSolution solve_reduced(const AssembledSystem& system,
 StaticSolution solve_static(const StructureModel& model,
                             const std::string& load_set,
                             const SolverOptions& options = {});
-
-/// Solve several load sets against one structure, factoring the stiffness
-/// matrix once (direct methods) — the "solve structure model/load set"
-/// workflow for many load cases.  Results keyed by load-set name.
-std::map<std::string, StaticSolution> solve_static_all_load_sets(
-    const StructureModel& model, const SolverOptions& options = {});
 
 struct ParallelSolveOptions {
   std::uint32_t workers = 4;

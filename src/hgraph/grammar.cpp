@@ -1,6 +1,5 @@
 #include "hgraph/grammar.hpp"
 
-#include <optional>
 #include <set>
 #include <sstream>
 
@@ -19,6 +18,17 @@ std::string_view atom_kind_name(AtomKind k) {
   FEM2_UNREACHABLE("bad AtomKind");
 }
 
+std::optional<AtomKind> atom_kind_from_name(std::string_view name) {
+  for (const AtomKind k : kAtomKinds)
+    if (atom_kind_name(k) == name) return k;
+  return std::nullopt;
+}
+
+bool atom_subsumed(AtomKind a, AtomKind b) {
+  return a == b || b == AtomKind::Any ||
+         (a == AtomKind::Int && b == AtomKind::Real);
+}
+
 std::string SourceLoc::to_string() const {
   if (!known()) return "<unknown>";
   return "line " + std::to_string(line) + ", col " + std::to_string(column);
@@ -35,21 +45,12 @@ bool atom_matches(const HGraph& g, NodeId node, AtomKind kind) {
   FEM2_UNREACHABLE("bad AtomKind");
 }
 
-namespace {
-
-/// Builtin nonterminals mapping straight to atom kinds.
-std::optional<AtomKind> builtin_kind(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  if (name == "ANY") return AtomKind::Any;
-  return std::nullopt;
+std::string family_label(std::string_view base, std::size_t index) {
+  return std::string(base) + "[" + std::to_string(index) + "]";
 }
 
-/// Parse a label of the form `base[index]`; returns index or nullopt.
-std::optional<std::size_t> indexed_suffix(std::string_view label,
-                                          std::string_view base) {
+std::optional<std::size_t> family_index(std::string_view label,
+                                        std::string_view base) {
   if (label.size() < base.size() + 3) return std::nullopt;
   if (!label.starts_with(base)) return std::nullopt;
   if (label[base.size()] != '[' || label.back() != ']') return std::nullopt;
@@ -64,7 +65,17 @@ std::optional<std::size_t> indexed_suffix(std::string_view label,
   return value;
 }
 
-}  // namespace
+std::vector<Reference> references(const Rule& rule) {
+  if (const auto* ref = std::get_if<NonterminalRef>(&rule.alternative))
+    return {Reference{ref->name, nullptr, rule.loc}};
+  std::vector<Reference> out;
+  if (const auto* comp = std::get_if<Composite>(&rule.alternative)) {
+    for (const auto& pat : comp->arcs)
+      out.push_back({pat.nonterminal, &pat,
+                     pat.loc.known() ? pat.loc : rule.loc});
+  }
+  return out;
+}
 
 struct Grammar::CheckState {
   // (node, nonterminal) pairs currently being checked (coinduction) or
@@ -79,18 +90,17 @@ Grammar::Grammar() = default;
 
 void Grammar::add_alternative(std::string nonterminal, Alternative alt,
                               SourceLoc loc) {
-  FEM2_CHECK_MSG(!builtin_kind(nonterminal).has_value(),
+  FEM2_CHECK_MSG(!atom_kind_from_name(nonterminal).has_value(),
                  "cannot redefine builtin nonterminal");
   rules_[std::move(nonterminal)].push_back(Rule{std::move(alt), loc});
 }
 
 bool Grammar::is_builtin(std::string_view nonterminal) {
-  return builtin_kind(nonterminal).has_value();
+  return atom_kind_from_name(nonterminal).has_value();
 }
 
 bool Grammar::has_rule(std::string_view nonterminal) const {
-  return builtin_kind(nonterminal).has_value() ||
-         rules_.find(nonterminal) != rules_.end();
+  return is_builtin(nonterminal) || rules_.find(nonterminal) != rules_.end();
 }
 
 std::vector<std::string> Grammar::nonterminals() const {
@@ -114,7 +124,7 @@ ConformanceResult Grammar::conforms(const HGraph& g, NodeId node,
 
 bool Grammar::check(const HGraph& g, NodeId node,
                     const std::string& nonterminal, CheckState& state) const {
-  if (const auto kind = builtin_kind(nonterminal)) {
+  if (const auto kind = atom_kind_from_name(nonterminal)) {
     if (atom_matches(g, node, *kind)) return true;
     state.error = state.path + ": atom " + atom_to_string(g.value(node)) +
                   " does not match " + nonterminal;
@@ -179,7 +189,7 @@ bool Grammar::check_alternative(const HGraph& g, NodeId node,
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       if (matched[i]) continue;
       if (pat.multiplicity == Multiplicity::IndexedFamily) {
-        if (const auto idx = indexed_suffix(arcs[i].label, pat.label)) {
+        if (const auto idx = family_index(arcs[i].label, pat.label)) {
           hits.push_back(i);
           indices.push_back(*idx);
         }
@@ -241,36 +251,17 @@ bool Grammar::check_alternative(const HGraph& g, NodeId node,
   return true;
 }
 
-namespace {
-
-ConformanceResult undefined_reference(const std::string& rule_name,
-                                      const std::string& target,
-                                      const SourceLoc& loc) {
-  ConformanceResult r;
-  r.ok = false;
-  r.error = "rule '" + rule_name + "' (" + loc.to_string() +
-            ") references undefined nonterminal '" + target + "'";
-  return r;
-}
-
-}  // namespace
-
 ConformanceResult Grammar::validate() const {
   for (const auto& [name, alts] : rules_) {
     for (const auto& rule : alts) {
-      if (const auto* ref = std::get_if<NonterminalRef>(&rule.alternative)) {
-        if (!has_rule(ref->name)) {
-          return undefined_reference(name, ref->name, rule.loc);
-        }
-        continue;
-      }
-      const auto* comp = std::get_if<Composite>(&rule.alternative);
-      if (!comp) continue;
-      for (const auto& pat : comp->arcs) {
-        if (!has_rule(pat.nonterminal)) {
-          const SourceLoc& loc = pat.loc.known() ? pat.loc : rule.loc;
-          return undefined_reference(name, pat.nonterminal, loc);
-        }
+      for (const auto& ref : references(rule)) {
+        if (has_rule(ref.name)) continue;
+        ConformanceResult r;
+        r.ok = false;
+        r.error = "rule '" + name + "' (" + ref.loc.to_string() +
+                  ") references undefined nonterminal '" +
+                  std::string(ref.name) + "'";
+        return r;
       }
     }
   }

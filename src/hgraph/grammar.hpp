@@ -22,6 +22,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -33,10 +34,31 @@ namespace fem2::hgraph {
 
 enum class AtomKind { Nil, Int, Real, String, Any };
 
+/// Every atom kind; their names are the builtin nonterminals.
+inline constexpr AtomKind kAtomKinds[] = {AtomKind::Nil, AtomKind::Int,
+                                          AtomKind::Real, AtomKind::String,
+                                          AtomKind::Any};
+
 std::string_view atom_kind_name(AtomKind k);
+
+/// The atom kind a builtin nonterminal names (NIL, INT, REAL, STRING,
+/// ANY), or nullopt for any other name.
+std::optional<AtomKind> atom_kind_from_name(std::string_view name);
+
+/// True when `b` accepts every atom `a` accepts: REAL accepts INT, ANY
+/// accepts everything.
+bool atom_subsumed(AtomKind a, AtomKind b);
 
 /// True if the node's atom satisfies the kind (REAL accepts INT).
 bool atom_matches(const HGraph& g, NodeId node, AtomKind kind);
+
+/// The label of member `index` of the indexed family `base`: "base[index]".
+std::string family_label(std::string_view base, std::size_t index);
+
+/// The index of `label` in the indexed family `base` ("base[" decimal
+/// digits "]"), or nullopt when the label is not a member.
+std::optional<std::size_t> family_index(std::string_view label,
+                                        std::string_view base);
 
 /// Position in the grammar source text (1-based; line 0 = unknown, e.g. a
 /// grammar assembled programmatically rather than parsed).
@@ -77,6 +99,18 @@ struct Rule {
   Alternative alternative;
   SourceLoc loc;
 };
+
+/// A nonterminal a rule names: its alias target (arc == nullptr) or an arc
+/// pattern's target, located at the arc when the arc's location is known
+/// and at the rule otherwise.
+struct Reference {
+  std::string_view name;
+  const ArcPattern* arc = nullptr;
+  SourceLoc loc;
+};
+
+/// The nonterminals `rule` names, in pattern order.
+std::vector<Reference> references(const Rule& rule);
 
 struct ConformanceResult {
   bool ok = true;

@@ -3,85 +3,11 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <optional>
 #include <vector>
 
 namespace fem2::hgraph {
 
 namespace {
-
-std::optional<AtomKind> builtin_kind(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  if (name == "ANY") return AtomKind::Any;
-  return std::nullopt;
-}
-
-/// matches(a) is a subset of matches(b): REAL accepts INT, ANY accepts all.
-bool atom_subsumed(AtomKind a, AtomKind b) {
-  if (a == b || b == AtomKind::Any) return true;
-  return a == AtomKind::Int && b == AtomKind::Real;
-}
-
-/// Would a plain arc labeled `label` be claimed by an indexed-family
-/// pattern with base `base` (i.e. is it of the form base[digits])?
-bool family_claims(std::string_view base, std::string_view label) {
-  if (label.size() < base.size() + 3) return false;
-  if (!label.starts_with(base)) return false;
-  if (label[base.size()] != '[' || label.back() != ']') return false;
-  const std::string_view digits =
-      label.substr(base.size() + 1, label.size() - base.size() - 2);
-  if (digits.empty()) return false;
-  for (char c : digits)
-    if (c < '0' || c > '9') return false;
-  return true;
-}
-
-/// An alternative with aliases resolved away: either a leaf atom or a
-/// composite (borrowed from the owning grammar).
-struct FlatAlt {
-  bool is_atom = false;
-  AtomKind atom = AtomKind::Nil;
-  const Composite* comp = nullptr;
-};
-
-/// Transitively resolve `name` to its non-alias alternatives.  An alias
-/// cycle or an undefined nonterminal contributes nothing (its language is
-/// empty, so "for all alternatives" checks hold vacuously).
-void expand(const Grammar& g, const std::string& name,
-            std::set<std::string>& visiting, std::vector<FlatAlt>& out) {
-  if (const auto kind = builtin_kind(name)) {
-    out.push_back(FlatAlt{true, *kind, nullptr});
-    return;
-  }
-  if (!visiting.insert(name).second) return;  // alias cycle
-  const auto it = g.rules().find(name);
-  if (it == g.rules().end()) {
-    visiting.erase(name);
-    return;
-  }
-  for (const auto& rule : it->second) {
-    if (const auto* kind = std::get_if<AtomKind>(&rule.alternative)) {
-      out.push_back(FlatAlt{true, *kind, nullptr});
-    } else if (const auto* comp = std::get_if<Composite>(&rule.alternative)) {
-      out.push_back(FlatAlt{false, AtomKind::Nil, comp});
-    } else {
-      expand(g, std::get<NonterminalRef>(rule.alternative).name, visiting,
-             out);
-    }
-  }
-  visiting.erase(name);
-}
-
-std::vector<FlatAlt> flat_alternatives(const Grammar& g,
-                                       const std::string& name) {
-  std::set<std::string> visiting;
-  std::vector<FlatAlt> out;
-  expand(g, name, visiting, out);
-  return out;
-}
 
 /// Every graph matched by an impl pattern with multiplicity `a` is also
 /// matched when the spec pattern declares multiplicity `b`.  Families
@@ -104,45 +30,45 @@ bool pair_holds(const PairSet& holds, const std::string& a,
 
 /// Is every node matching impl alternative `fa` also matched by spec
 /// alternative `fb`, assuming the child pairs in `holds`?
-bool alt_covered(const FlatAlt& fa, const FlatAlt& fb, const PairSet& holds,
-                 std::string* why) {
+bool alt_covered(const FlatAlternative& fa, const FlatAlternative& fb,
+                 const PairSet& holds, std::string* why) {
   const auto fail = [&](std::string reason) {
     if (why != nullptr && why->empty()) *why = std::move(reason);
     return false;
   };
-  if (fa.is_atom && fb.is_atom) {
+  if (fa.is_atom() && fb.is_atom()) {
     if (atom_subsumed(fa.atom, fb.atom)) return true;
     return fail(std::string("atom ") + std::string(atom_kind_name(fa.atom)) +
                 " is not subsumed by " + std::string(atom_kind_name(fb.atom)));
   }
-  if (fa.is_atom) {
+  if (fa.is_atom()) {
     // Leaf atom vs composite: the leaf has no arcs, so the composite must
     // accept an arcless node with that atom.
-    if (!atom_subsumed(fa.atom, fb.comp->own_atom))
+    if (!atom_subsumed(fa.atom, fb.composite->own_atom))
       return fail(std::string("leaf atom ") +
                   std::string(atom_kind_name(fa.atom)) + " violates @" +
-                  std::string(atom_kind_name(fb.comp->own_atom)));
-    for (const auto& pb : fb.comp->arcs) {
+                  std::string(atom_kind_name(fb.composite->own_atom)));
+    for (const auto& pb : fb.composite->arcs) {
       if (pb.multiplicity == Multiplicity::One)
         return fail("leaf atom cannot supply mandatory arc '" + pb.label +
                     "'");
     }
     return true;
   }
-  if (fb.is_atom) {
+  if (fb.is_atom()) {
     // Composite vs leaf atom: only a closed, arcless composite is a leaf.
-    if (fa.comp->open || !fa.comp->arcs.empty())
+    if (fa.composite->open || !fa.composite->arcs.empty())
       return fail("composite with arcs cannot refine a leaf atom");
-    return atom_subsumed(fa.comp->own_atom, fb.atom)
+    return atom_subsumed(fa.composite->own_atom, fb.atom)
                ? true
                : fail(std::string("composite atom @") +
-                      std::string(atom_kind_name(fa.comp->own_atom)) +
+                      std::string(atom_kind_name(fa.composite->own_atom)) +
                       " is not subsumed by " +
                       std::string(atom_kind_name(fb.atom)));
   }
 
-  const Composite& ca = *fa.comp;
-  const Composite& cb = *fb.comp;
+  const Composite& ca = *fa.composite;
+  const Composite& cb = *fb.composite;
   if (!atom_subsumed(ca.own_atom, cb.own_atom))
     return fail(std::string("node atom @") +
                 std::string(atom_kind_name(ca.own_atom)) +
@@ -179,12 +105,12 @@ bool alt_covered(const FlatAlt& fa, const FlatAlt& fb, const PairSet& holds,
       for (const auto& cand : cb.arcs) {
         if (cand.multiplicity == Multiplicity::IndexedFamily &&
             pa.multiplicity != Multiplicity::IndexedFamily &&
-            family_claims(cand.label, pa.label))
+            family_index(pa.label, cand.label))
           return fail("arc '" + pa.label + "' collides with spec family '" +
                       cand.label + "[*]'");
         if (pa.multiplicity == Multiplicity::IndexedFamily &&
             cand.multiplicity != Multiplicity::IndexedFamily &&
-            family_claims(pa.label, cand.label))
+            family_index(cand.label, pa.label))
           return fail("family '" + pa.label + "[*]' collides with spec arc '" +
                       cand.label + "'");
       }
@@ -244,12 +170,40 @@ bool one_step(const Grammar& impl, const Grammar& spec, const std::string& a,
 
 std::vector<std::string> side_names(const Grammar& g) {
   std::vector<std::string> names = g.nonterminals();
-  for (const char* b : {"NIL", "INT", "REAL", "STRING", "ANY"})
-    names.emplace_back(b);
+  for (const AtomKind k : kAtomKinds) names.emplace_back(atom_kind_name(k));
   return names;
 }
 
+void flatten(const Grammar& g, std::string_view name,
+             std::set<std::string, std::less<>>& seen,
+             std::vector<FlatAlternative>& out) {
+  if (!seen.emplace(name).second) return;
+  if (const auto kind = atom_kind_from_name(name)) {
+    out.push_back({nullptr, *kind});
+    return;
+  }
+  const auto it = g.rules().find(name);
+  if (it == g.rules().end()) return;
+  for (const auto& rule : it->second) {
+    if (const auto* kind = std::get_if<AtomKind>(&rule.alternative)) {
+      out.push_back({nullptr, *kind});
+    } else if (const auto* comp = std::get_if<Composite>(&rule.alternative)) {
+      out.push_back({comp, AtomKind::Nil});
+    } else {
+      flatten(g, std::get<NonterminalRef>(rule.alternative).name, seen, out);
+    }
+  }
+}
+
 }  // namespace
+
+std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
+                                               std::string_view nonterminal) {
+  std::set<std::string, std::less<>> seen;
+  std::vector<FlatAlternative> out;
+  flatten(grammar, nonterminal, seen, out);
+  return out;
+}
 
 // --- productivity ----------------------------------------------------------
 
@@ -285,11 +239,6 @@ std::set<std::string> productive_nonterminals(const Grammar& grammar) {
   return productive;
 }
 
-bool empty_language(const Grammar& grammar, std::string_view nonterminal) {
-  if (Grammar::is_builtin(nonterminal)) return false;
-  return !productive_nonterminals(grammar).contains(std::string(nonterminal));
-}
-
 // --- witness generation ----------------------------------------------------
 
 namespace {
@@ -297,36 +246,42 @@ namespace {
 constexpr std::size_t kInfiniteCost = std::numeric_limits<std::size_t>::max();
 
 /// Cheapest-derivation node count per nonterminal (infinite = empty
-/// language).  Builtins cost 1.
-std::map<std::string, std::size_t, std::less<>> derivation_costs(
-    const Grammar& g) {
-  std::map<std::string, std::size_t, std::less<>> cost;
+/// language).
+using CostMap = std::map<std::string, std::size_t, std::less<>>;
+
+/// Builtins cost 1; undefined nonterminals are infinite.
+std::size_t cost_of(const CostMap& cost, std::string_view name) {
+  if (Grammar::is_builtin(name)) return 1;
+  const auto it = cost.find(name);
+  return it == cost.end() ? kInfiniteCost : it->second;
+}
+
+/// Nodes in the cheapest derivation through `alt`: the node itself plus
+/// the cheapest derivation of every mandatory arc's target.
+std::size_t alternative_cost(const CostMap& cost, const Alternative& alt) {
+  if (std::holds_alternative<AtomKind>(alt)) return 1;
+  if (const auto* ref = std::get_if<NonterminalRef>(&alt))
+    return cost_of(cost, ref->name);
+  std::size_t total = 1;
+  for (const auto& pat : std::get<Composite>(alt).arcs) {
+    if (pat.multiplicity != Multiplicity::One) continue;
+    const std::size_t c = cost_of(cost, pat.nonterminal);
+    if (c == kInfiniteCost) return kInfiniteCost;
+    total += c;
+  }
+  return total;
+}
+
+CostMap derivation_costs(const Grammar& g) {
+  CostMap cost;
   for (const auto& [name, rules] : g.rules()) cost[name] = kInfiniteCost;
-  const auto cost_of = [&](std::string_view name) -> std::size_t {
-    if (Grammar::is_builtin(name)) return 1;
-    const auto it = cost.find(name);
-    return it == cost.end() ? kInfiniteCost : it->second;
-  };
-  const auto alt_cost = [&](const Alternative& alt) -> std::size_t {
-    if (std::holds_alternative<AtomKind>(alt)) return 1;
-    if (const auto* ref = std::get_if<NonterminalRef>(&alt))
-      return cost_of(ref->name);
-    std::size_t total = 1;
-    for (const auto& pat : std::get<Composite>(alt).arcs) {
-      if (pat.multiplicity != Multiplicity::One) continue;
-      const std::size_t c = cost_of(pat.nonterminal);
-      if (c == kInfiniteCost) return kInfiniteCost;
-      total += c;
-    }
-    return total;
-  };
   bool changed = true;
   while (changed) {
     changed = false;
     for (const auto& [name, rules] : g.rules()) {
       std::size_t best = cost[name];
       for (const auto& rule : rules)
-        best = std::min(best, alt_cost(rule.alternative));
+        best = std::min(best, alternative_cost(cost, rule.alternative));
       if (best < cost[name]) {
         cost[name] = best;
         changed = true;
@@ -353,12 +308,7 @@ WitnessResult witness_graph(const Grammar& grammar,
                             std::string_view nonterminal) {
   WitnessResult result;
   const auto costs = derivation_costs(grammar);
-  const auto cost_of = [&](std::string_view name) -> std::size_t {
-    if (Grammar::is_builtin(name)) return 1;
-    const auto it = costs.find(name);
-    return it == costs.end() ? kInfiniteCost : it->second;
-  };
-  if (cost_of(nonterminal) == kInfiniteCost) {
+  if (cost_of(costs, nonterminal) == kInfiniteCost) {
     result.error = "language of " + std::string(nonterminal) +
                    " is empty (no finite derivation)";
     return result;
@@ -369,28 +319,12 @@ WitnessResult witness_graph(const Grammar& grammar,
   // cost (mandatory arcs of the chosen minimal alternative).
   const std::function<NodeId(std::string_view)> build =
       [&](std::string_view name) -> NodeId {
-    if (const auto kind = builtin_kind(name))
+    if (const auto kind = atom_kind_from_name(name))
       return build_atom(result.graph, *kind);
-    const auto it = grammar.rules().find(name);
-    const std::size_t budget = cost_of(name);
+    const std::size_t budget = cost_of(costs, name);
     const Alternative* chosen = nullptr;
-    for (const auto& rule : it->second) {
-      std::size_t c = kInfiniteCost;
-      if (std::holds_alternative<AtomKind>(rule.alternative)) {
-        c = 1;
-      } else if (const auto* ref =
-                     std::get_if<NonterminalRef>(&rule.alternative)) {
-        c = cost_of(ref->name);
-      } else {
-        c = 1;
-        for (const auto& pat : std::get<Composite>(rule.alternative).arcs) {
-          if (pat.multiplicity != Multiplicity::One) continue;
-          const std::size_t pc = cost_of(pat.nonterminal);
-          c = pc == kInfiniteCost ? kInfiniteCost
-                                  : (c == kInfiniteCost ? c : c + pc);
-        }
-      }
-      if (c <= budget) {
+    for (const auto& rule : grammar.rules().find(name)->second) {
+      if (alternative_cost(costs, rule.alternative) <= budget) {
         chosen = &rule.alternative;
         break;
       }

@@ -2,7 +2,10 @@
 // fem2_analyze --verify):
 //
 //   * productivity / emptiness — which nonterminals derive at least one
-//     finite H-graph (least fixpoint over the productions);
+//     finite H-graph (least fixpoint over the productions; lint reports
+//     the nonterminals it leaves out);
+//   * alias flattening — a nonterminal's alternatives with alias chains
+//     followed (the simulation below and the rule-spec verifier use it);
 //   * witness generation — a minimal finite H-graph in the language of a
 //     productive nonterminal, built from the cheapest derivation (the
 //     witness is checked back against Grammar::conforms, so generator and
@@ -17,18 +20,37 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hgraph/grammar.hpp"
 
 namespace fem2::hgraph {
 
-/// Nonterminals that derive at least one finite H-graph.  Builtin atom
-/// nonterminals are always productive and are not listed.
+/// Nonterminals that derive at least one finite H-graph: the least
+/// fixpoint in which an atom alternative, an alias of a productive or
+/// builtin nonterminal, or a composite whose mandatory (multiplicity-one)
+/// arc targets are all productive makes its nonterminal productive.
+/// Optional, star and family arcs admit zero arcs, so they never block.
+/// Builtin atom nonterminals are always productive and are not listed;
+/// undefined nonterminals never are.
 std::set<std::string> productive_nonterminals(const Grammar& grammar);
 
-/// True when the nonterminal derives no finite object (undefined
-/// nonterminals count as empty).
-bool empty_language(const Grammar& grammar, std::string_view nonterminal);
+/// An alternative with aliases resolved away: a leaf atom, or a composite
+/// borrowed from the grammar.
+struct FlatAlternative {
+  const Composite* composite = nullptr;  ///< null for a leaf atom
+  AtomKind atom = AtomKind::Nil;         ///< the leaf's kind
+
+  bool is_atom() const { return composite == nullptr; }
+};
+
+/// The alternatives of `nonterminal` with alias chains followed, in rule
+/// order.  Each nonterminal is expanded at most once, so an alias cycle or
+/// an undefined nonterminal contributes nothing (its language is empty,
+/// and "for all alternatives" checks hold vacuously).  A builtin name
+/// yields its own atom.
+std::vector<FlatAlternative> flat_alternatives(const Grammar& grammar,
+                                               std::string_view nonterminal);
 
 struct WitnessResult {
   bool ok = false;

@@ -109,15 +109,6 @@ class Lexer {
   std::size_t line_start_ = 0;
 };
 
-std::optional<AtomKind> atom_kind_from_name(std::string_view name) {
-  if (name == "NIL") return AtomKind::Nil;
-  if (name == "INT") return AtomKind::Int;
-  if (name == "REAL") return AtomKind::Real;
-  if (name == "STRING") return AtomKind::String;
-  if (name == "ANY") return AtomKind::Any;
-  return std::nullopt;
-}
-
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}

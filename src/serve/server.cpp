@@ -162,15 +162,8 @@ appvm::Response Server::call_with_retry(std::uint64_t session,
   // Retry from the caller's side of the queue: a rejected or conflicted
   // request backs off here and re-enters admission, instead of a worker
   // sleeping through the backoff with a pool slot held.
-  db::RetrySchedule schedule(options_.retry_policy);
-  for (;;) {
-    appvm::Response response = call(session, line);
-    if (response.ok || !appvm::Response::retryable(response.kind))
-      return response;
-    const auto delay = schedule.next_delay();
-    if (!delay) return response;
-    if (delay->count() > 0) sleeper_(*delay);
-  }
+  return appvm::with_retry(options_.retry_policy, sleeper_,
+                           [&] { return call(session, line); });
 }
 
 // --- snapshot read path ----------------------------------------------------

@@ -1,6 +1,7 @@
 #include "spec/reflect.hpp"
 
 #include "fem/analysis.hpp"
+#include "hgraph/grammar.hpp"
 
 namespace fem2::spec {
 
@@ -8,10 +9,7 @@ namespace {
 
 using hgraph::HGraph;
 using hgraph::NodeId;
-
-std::string indexed(std::string_view base, std::size_t i) {
-  return std::string(base) + "[" + std::to_string(i) + "]";
-}
+using hgraph::family_label;
 
 NodeId int_node(HGraph& g, std::int64_t v) { return g.add_int(v); }
 NodeId real_node(HGraph& g, double v) { return g.add_real(v); }
@@ -32,7 +30,7 @@ hgraph::NodeId reflect_model(HGraph& g, const fem::StructureModel& model) {
     const NodeId p = g.add_node();
     g.add_arc(p, "x", real_node(g, model.nodes[i].x));
     g.add_arc(p, "y", real_node(g, model.nodes[i].y));
-    g.add_arc(root, indexed("node", i), p);
+    g.add_arc(root, family_label("node", i), p);
   }
   for (std::size_t i = 0; i < model.materials.size(); ++i) {
     const auto& m = model.materials[i];
@@ -44,7 +42,7 @@ hgraph::NodeId reflect_model(HGraph& g, const fem::StructureModel& model) {
     g.add_arc(n, "I", real_node(g, m.moment_of_inertia));
     g.add_arc(n, "t", real_node(g, m.thickness));
     g.add_arc(n, "rho", real_node(g, m.density));
-    g.add_arc(root, indexed("material", i), n);
+    g.add_arc(root, family_label("material", i), n);
   }
   for (std::size_t i = 0; i < model.elements.size(); ++i) {
     const auto& e = model.elements[i];
@@ -52,9 +50,9 @@ hgraph::NodeId reflect_model(HGraph& g, const fem::StructureModel& model) {
     g.add_arc(n, "kind", str_node(g, fem::element_type_name(e.type)));
     g.add_arc(n, "mat", int_node(g, static_cast<std::int64_t>(e.material)));
     for (std::size_t k = 0; k < e.node_count(); ++k)
-      g.add_arc(n, indexed("node", k),
+      g.add_arc(n, family_label("node", k),
                 int_node(g, static_cast<std::int64_t>(e.nodes[k])));
-    g.add_arc(root, indexed("element", i), n);
+    g.add_arc(root, family_label("element", i), n);
   }
   for (std::size_t i = 0; i < model.constraints.size(); ++i) {
     const auto& c = model.constraints[i];
@@ -62,7 +60,7 @@ hgraph::NodeId reflect_model(HGraph& g, const fem::StructureModel& model) {
     g.add_arc(n, "node", int_node(g, static_cast<std::int64_t>(c.node)));
     g.add_arc(n, "dof", int_node(g, static_cast<std::int64_t>(c.dof)));
     g.add_arc(n, "value", real_node(g, c.value));
-    g.add_arc(root, indexed("constraint", i), n);
+    g.add_arc(root, family_label("constraint", i), n);
   }
   std::size_t set_index = 0;
   for (const auto& [set_name, set] : model.load_sets) {
@@ -74,9 +72,9 @@ hgraph::NodeId reflect_model(HGraph& g, const fem::StructureModel& model) {
       g.add_arc(ln, "node", int_node(g, static_cast<std::int64_t>(load.node)));
       g.add_arc(ln, "dof", int_node(g, static_cast<std::int64_t>(load.dof)));
       g.add_arc(ln, "value", real_node(g, load.value));
-      g.add_arc(n, indexed("pointload", k), ln);
+      g.add_arc(n, family_label("pointload", k), ln);
     }
-    g.add_arc(root, indexed("loadset", set_index++), n);
+    g.add_arc(root, family_label("loadset", set_index++), n);
   }
   return root;
 }
@@ -86,7 +84,7 @@ hgraph::NodeId reflect_displacements(HGraph& g, const fem::Displacements& u) {
   g.add_arc(root, "dofs_per_node",
             int_node(g, static_cast<std::int64_t>(u.dofs_per_node)));
   for (std::size_t i = 0; i < u.values.size(); ++i)
-    g.add_arc(root, indexed("u", i), real_node(g, u.values[i]));
+    g.add_arc(root, family_label("u", i), real_node(g, u.values[i]));
   return root;
 }
 
@@ -103,7 +101,7 @@ hgraph::NodeId reflect_results(HGraph& g, const fem::AnalysisResult& results) {
     g.add_arc(n, "syy", real_node(g, s.sigma_yy));
     g.add_arc(n, "txy", real_node(g, s.tau_xy));
     g.add_arc(n, "vm", real_node(g, s.von_mises));
-    g.add_arc(stresses, indexed("stress", i), n);
+    g.add_arc(stresses, family_label("stress", i), n);
   }
   g.add_arc(root, "stresses", stresses);
   return root;
@@ -133,7 +131,7 @@ hgraph::NodeId reflect_database(HGraph& g, const appvm::Database& database) {
               int_node(g, static_cast<std::int64_t>(entries[i].bytes)));
     g.add_arc(n, "revision",
               int_node(g, static_cast<std::int64_t>(entries[i].revision)));
-    g.add_arc(root, indexed("entry", i), n);
+    g.add_arc(root, family_label("entry", i), n);
   }
   return root;
 }
@@ -162,7 +160,7 @@ hgraph::NodeId reflect_query_result(HGraph& g, const db::QueryFilter& filter,
     g.add_arc(n, "bytes", int_node(g, static_cast<std::int64_t>(row.bytes)));
     g.add_arc(n, "revision",
               int_node(g, static_cast<std::int64_t>(row.revision)));
-    g.add_arc(root, indexed("row", i), n);
+    g.add_arc(root, family_label("row", i), n);
   }
   g.add_arc(root, "scanned",
             int_node(g, static_cast<std::int64_t>(result.scanned)));
@@ -245,9 +243,9 @@ hgraph::NodeId reflect_db_engine(HGraph& g, const db::Engine& engine) {
       g.add_arc(vn, "bytes", int_node(g, static_cast<std::int64_t>(v.bytes)));
       g.add_arc(vn, "txn", int_node(g, static_cast<std::int64_t>(v.txn)));
       g.add_arc(vn, "deleted", int_node(g, v.deleted ? 1 : 0));
-      g.add_arc(cn, indexed("version", k), vn);
+      g.add_arc(cn, family_label("version", k), vn);
     }
-    g.add_arc(root, indexed("chain", i), cn);
+    g.add_arc(root, family_label("chain", i), cn);
   }
   for (std::size_t i = 0; i < state.transactions.size(); ++i) {
     const auto& txn = state.transactions[i];
@@ -255,7 +253,7 @@ hgraph::NodeId reflect_db_engine(HGraph& g, const db::Engine& engine) {
     g.add_arc(tn, "id", int_node(g, static_cast<std::int64_t>(txn.id)));
     g.add_arc(tn, "writes",
               int_node(g, static_cast<std::int64_t>(txn.writes)));
-    g.add_arc(root, indexed("txn", i), tn);
+    g.add_arc(root, family_label("txn", i), tn);
   }
   return root;
 }
@@ -291,7 +289,7 @@ hgraph::NodeId reflect_task_system(HGraph& g, const sysvm::Os& os,
               int_node(g, static_cast<std::int64_t>(info.replication_index)));
     g.add_arc(n, "of",
               int_node(g, static_cast<std::int64_t>(info.replication_count)));
-    g.add_arc(root, indexed("task", i), n);
+    g.add_arc(root, family_label("task", i), n);
   }
   const auto arrays = runtime.array_ids();
   for (std::size_t i = 0; i < arrays.size(); ++i) {
@@ -303,7 +301,7 @@ hgraph::NodeId reflect_task_system(HGraph& g, const sysvm::Os& os,
               int_node(g, static_cast<std::int64_t>(info.cluster.index)));
     g.add_arc(n, "rows", int_node(g, static_cast<std::int64_t>(info.rows)));
     g.add_arc(n, "cols", int_node(g, static_cast<std::int64_t>(info.cols)));
-    g.add_arc(root, indexed("array", i), n);
+    g.add_arc(root, family_label("array", i), n);
   }
   return root;
 }
@@ -448,9 +446,9 @@ hgraph::NodeId reflect_machine(HGraph& g, const hw::Machine& machine) {
       g.add_arc(pn, "busy_cycles",
                 int_node(g, static_cast<std::int64_t>(
                                 metrics.pes[flat].busy_cycles)));
-      g.add_arc(cn, indexed("pe", p), pn);
+      g.add_arc(cn, family_label("pe", p), pn);
     }
-    g.add_arc(root, indexed("cluster", c), cn);
+    g.add_arc(root, family_label("cluster", c), cn);
   }
   return root;
 }

@@ -24,21 +24,15 @@ namespace {
 using hgraph::HGraph;
 using hgraph::Invoker;
 using hgraph::NodeId;
+using hgraph::family_label;
 
 /// Number of arcs of the indexed family `base[i]` on `node` (the next free
 /// index when appending).
 std::size_t family_size(const HGraph& g, NodeId node, std::string_view base) {
   std::size_t count = 0;
-  for (const auto& arc : g.arcs(node)) {
-    if (arc.label.size() > base.size() + 2 && arc.label.starts_with(base) &&
-        arc.label[base.size()] == '[')
-      ++count;
-  }
+  for (const auto& arc : g.arcs(node))
+    count += hgraph::family_index(arc.label, base).has_value();
   return count;
-}
-
-std::string indexed(std::string_view base, std::size_t i) {
-  return std::string(base) + "[" + std::to_string(i) + "]";
 }
 
 NodeId define_structure_model(Invoker&, HGraph& g, NodeId arg) {
@@ -54,7 +48,7 @@ NodeId add_node_transform(Invoker&, HGraph& g, NodeId arg) {
   const NodeId point = g.add_node();
   g.add_arc(point, "x", g.add_real(*g.real_value(g.follow(arg, "x"))));
   g.add_arc(point, "y", g.add_real(*g.real_value(g.follow(arg, "y"))));
-  g.add_arc(model, indexed("node", family_size(g, model, "node")), point);
+  g.add_arc(model, family_label("node", family_size(g, model, "node")), point);
   return model;
 }
 
@@ -66,7 +60,7 @@ NodeId add_load_transform(Invoker&, HGraph& g, NodeId arg) {
   NodeId set_node{};
   const std::size_t sets = family_size(g, model, "loadset");
   for (std::size_t i = 0; i < sets; ++i) {
-    const NodeId candidate = g.follow(model, indexed("loadset", i));
+    const NodeId candidate = g.follow(model, family_label("loadset", i));
     if (*g.string_value(g.follow(candidate, "name")) == set) {
       set_node = candidate;
       break;
@@ -75,14 +69,15 @@ NodeId add_load_transform(Invoker&, HGraph& g, NodeId arg) {
   if (!set_node.valid()) {
     set_node = g.add_node();
     g.add_arc(set_node, "name", g.add_string(set));
-    g.add_arc(model, indexed("loadset", sets), set_node);
+    g.add_arc(model, family_label("loadset", sets), set_node);
   }
 
   const NodeId load = g.add_node();
   g.add_arc(load, "node", g.add_int(*g.int_value(g.follow(arg, "node"))));
   g.add_arc(load, "dof", g.add_int(*g.int_value(g.follow(arg, "dof"))));
   g.add_arc(load, "value", g.add_real(*g.real_value(g.follow(arg, "value"))));
-  g.add_arc(set_node, indexed("pointload", family_size(g, set_node, "pointload")),
+  g.add_arc(set_node,
+            family_label("pointload", family_size(g, set_node, "pointload")),
             load);
   return model;
 }

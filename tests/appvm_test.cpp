@@ -259,6 +259,35 @@ TEST(Session, DensePathsRefuseModelsAboveTheDofLimit) {
   }
 }
 
+TEST(Session, ModeCountsAboveTheLimitFailBeforeAssembling) {
+  // A count past kMaxModes fails at once and names the limit, before the
+  // model is looked at: with no model the refusal is about the count.
+  Database db;
+  Session session(db);
+  const std::string over = std::to_string(Session::kMaxModes + 1);
+  const std::string limit = std::to_string(Session::kMaxModes) + " modes";
+  for (const std::string& line :
+       {"modes " + over, std::string("modes 1000"),
+        std::string("modes 18446744073709551615")}) {
+    const Response r = session.execute(line);
+    EXPECT_FALSE(r.ok) << line;
+    EXPECT_EQ(r.kind, Response::FailureKind::Other) << line;
+    EXPECT_NE(r.text.find(limit), std::string::npos) << r.text;
+  }
+  ASSERT_TRUE(session.execute("mesh beam segments=10 length=1 load=5").ok);
+  ASSERT_TRUE(session.execute("solve tip").ok);
+  const std::string model = session.execute("show model").text;
+  const std::string results = session.execute("show displacements").text;
+  const Response refused = session.execute("modes " + over);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.text.find(limit), std::string::npos) << refused.text;
+  EXPECT_EQ(session.execute("show model").text, model);
+  EXPECT_EQ(session.execute("show displacements").text, results);
+  const Response at_limit =
+      session.execute("modes " + std::to_string(Session::kMaxModes));
+  EXPECT_TRUE(at_limit.ok) << at_limit.text;
+}
+
 TEST(Session, DenseLimitCountsEveryModelDof) {
   // Two bars plus fixed nodes that no element holds: the model has
   // kMaxDenseDofs dofs, of which two are free.  The limit admits it, and
@@ -796,6 +825,53 @@ TEST(Session, ExecuteWithRetryResolvesRacesViaHead) {
   EXPECT_FALSE(typo.ok);
   EXPECT_EQ(typo.kind, Response::FailureKind::Other);
   EXPECT_TRUE(slept.empty());
+}
+
+TEST(Retry, WithRetryRetriesOnlyRetryableFailures) {
+  // The one retry loop under Session::execute_with_retry and
+  // serve::Server::call_with_retry.
+  db::RetryPolicy policy;
+  policy.max_attempts = 5;
+  policy.jitter = 0.0;
+  std::vector<std::int64_t> slept;
+  const db::Sleeper recorder = [&slept](std::chrono::microseconds d) {
+    slept.push_back(d.count());
+  };
+  const auto failing = [](Response::FailureKind kind) {
+    return Response{false, "attempt failed", kind};
+  };
+
+  // Succeeds on the third attempt.
+  int calls = 0;
+  const Response third = with_retry(policy, recorder, [&] {
+    return ++calls < 3 ? failing(Response::FailureKind::TransientIo)
+                       : Response{true, "done"};
+  });
+  EXPECT_TRUE(third.ok);
+  EXPECT_EQ(third.text, "done");
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(slept, (std::vector<std::int64_t>{500, 1000}));
+
+  // A hard failure returns at once.
+  calls = 0;
+  const Response hard = with_retry(policy, recorder, [&] {
+    ++calls;
+    return failing(Response::FailureKind::Degraded);
+  });
+  EXPECT_EQ(hard.kind, Response::FailureKind::Degraded);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(slept.size(), 2u);
+
+  // Attempts exhausted: the last failure comes back.
+  calls = 0;
+  const Response exhausted = with_retry(policy, recorder, [&] {
+    ++calls;
+    return failing(Response::FailureKind::Overloaded);
+  });
+  EXPECT_FALSE(exhausted.ok);
+  EXPECT_EQ(exhausted.kind, Response::FailureKind::Overloaded);
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(slept.size(), 6u);
 }
 
 TEST(Session, TenantDefaultsEmptyAndIsRecorded) {

@@ -723,55 +723,4 @@ TEST(Retry, NonePolicyNeverRetries) {
   EXPECT_FALSE(schedule.next_delay().has_value());
 }
 
-TEST(Retry, WithRetryRetriesOnlyRetryableFailures) {
-  db::RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.jitter = 0.0;
-  std::vector<std::int64_t> slept;
-  const db::Sleeper recorder = [&slept](std::chrono::microseconds d) {
-    slept.push_back(d.count());
-  };
-  const auto transient_only = [](const std::exception& e) {
-    const auto* io = dynamic_cast<const db::IoError*>(&e);
-    return io != nullptr && io->transient();
-  };
-
-  // Succeeds on the third attempt.
-  int calls = 0;
-  const int result = db::with_retry(
-      policy,
-      [&calls]() {
-        if (++calls < 3) throw db::IoError(db::IoOp::Write, "f", EAGAIN);
-        return 7;
-      },
-      transient_only, recorder);
-  EXPECT_EQ(result, 7);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(slept.size(), 2u);
-
-  // A hard error propagates immediately.
-  calls = 0;
-  EXPECT_THROW(db::with_retry(
-                   policy,
-                   [&calls]() -> int {
-                     ++calls;
-                     throw db::IoError(db::IoOp::Write, "f", ENOSPC);
-                   },
-                   transient_only, recorder),
-               db::IoError);
-  EXPECT_EQ(calls, 1);
-
-  // Attempts exhausted: the last failure propagates.
-  calls = 0;
-  EXPECT_THROW(db::with_retry(
-                   policy,
-                   [&calls]() -> int {
-                     ++calls;
-                     throw db::IoError(db::IoOp::Write, "f", EINTR);
-                   },
-                   transient_only, recorder),
-               db::IoError);
-  EXPECT_EQ(calls, 5);
-}
-
 }  // namespace

@@ -681,49 +681,6 @@ TEST(FemElements, PlateMeshRefinementConverges) {
   EXPECT_NEAR(t_fine, q_fine, std::abs(q_fine) * 0.15);
 }
 
-TEST(FemSolvers, MultipleLoadSetsShareTheFactorization) {
-  PlateMeshOptions options;
-  options.nx = 8;
-  options.ny = 4;
-  options.material = soft_material();
-  StructureModel model = make_cantilever_plate(options, 5.0);
-  // A second, different load case on the same structure.
-  model.add_load("top-pull", plate_node(options, options.nx, options.ny), 0,
-                 25.0);
-
-  const auto all = solve_static_all_load_sets(
-      model, {.kind = SolverKind::SkylineDirect});
-  ASSERT_EQ(all.size(), 2u);
-  for (const auto& [name, solution] : all) {
-    const auto individual = solve_static(model, name,
-                                         {.kind = SolverKind::SkylineDirect});
-    for (std::size_t i = 0; i < individual.displacements.values.size(); ++i) {
-      EXPECT_NEAR(solution.displacements.values[i],
-                  individual.displacements.values[i], 1e-12)
-          << name;
-    }
-    EXPECT_NE(solution.stats.method.find("shared factorization"),
-              std::string::npos);
-  }
-  // The two load cases produce genuinely different responses.
-  EXPECT_NE(all.at("tip-shear").displacements.values.back(),
-            all.at("top-pull").displacements.values.back());
-}
-
-TEST(FemSolvers, MultipleLoadSetsIterativePath) {
-  PlateMeshOptions options;
-  options.nx = 6;
-  options.ny = 3;
-  options.material = soft_material();
-  StructureModel model = make_cantilever_plate(options, 5.0);
-  model.add_load("side", plate_node(options, options.nx, 0), 0, 10.0);
-  const auto all = solve_static_all_load_sets(
-      model, {.kind = SolverKind::PreconditionedCg, .tolerance = 1e-11});
-  ASSERT_EQ(all.size(), 2u);
-  for (const auto& [name, solution] : all)
-    EXPECT_TRUE(solution.stats.converged) << name;
-}
-
 TEST(FemModel, ValidationCatchesErrors) {
   StructureModel empty;
   EXPECT_THROW(empty.validate(), support::Error);

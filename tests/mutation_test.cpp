@@ -1,5 +1,6 @@
 // Seeded mutational tests of the model and result text parsers, of the
-// H-graph grammar parser and of the write-ahead log's frame decoder.
+// H-graph grammar parser, of the write-ahead log's frame decoder and of
+// the command lexer and parser.
 //
 // Valid documents are mutated with byte flips, truncations, splices of two
 // documents and number lies (huge and negative indices, overflow,
@@ -20,6 +21,15 @@
 // db::Error, or in records that re-encode to exactly the bytes they came
 // from; neither may make an allocation the honest log does not need.
 //
+// One valid command line per verb and option is mutated with byte flips,
+// dropped and duplicated tokens, tokens spliced across lines and numbers
+// swapped for edge values (0, -1, 2^64 - 1, 1e308, nan, inf, hex, empty).
+// Each mutant runs as one line on a fresh console Session holding the 8x4
+// plate (save and open only on a served one) and on a fresh served session
+// through Server::call.  It must end in a Response, with no allocation
+// larger than the largest one of building the largest mesh the node limit
+// admits.
+//
 // Any other exception fails, and a crash or hang fails the run.
 // Deterministic: support::Rng with fixed seeds.
 #include <gtest/gtest.h>
@@ -32,12 +42,15 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <new>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "appvm/command.hpp"
 #include "appvm/serialize.hpp"
 #include "db/crc32.hpp"
 #include "db/engine.hpp"
@@ -45,6 +58,7 @@
 #include "fem/analysis.hpp"
 #include "fem/mesh.hpp"
 #include "hgraph/grammar_parser.hpp"
+#include "serve/server.hpp"
 #include "spec/layers.hpp"
 #include "spec/transforms.hpp"
 #include "support/rng.hpp"
@@ -709,3 +723,220 @@ TEST_F(WalMutation, ReplayAndRecoveryFailCleanlyOrReEncode) {
 
 }  // namespace
 }  // namespace fem2::db
+
+namespace fem2::appvm {
+namespace {
+
+/// One valid line per verb and option of the command language
+/// (Session::help_text), for a session holding the 8x4 plate (kPlateSetup).
+const char* const kCommandCorpus[] = {
+    "help",
+    "new model probe",
+    "node 1.5 -2",
+    "material steel E=200e9 nu=0.3 A=0.01 I=1e-4 t=0.01 rho=7800",
+    "element bar 0 1 mat=0",
+    "element beam2 0 9",
+    "element tri 0 1 9",
+    "element quad4 0 1 10 9 mat=0",
+    "fix 3",
+    "constrain 4 1 0.5",
+    "constrain 5 0",
+    "load wind 44 0 -10",
+    "mesh plate nx=8 ny=4 width=2 height=1 load=5 tri",
+    "mesh beam segments=4 length=1 load=5",
+    "mesh truss bays=3 bay-width=1 height=1 load=100",
+    "solve tip-shear",
+    "solve tip-shear using skyline tol=1e-8",
+    "solve tip-shear using cholesky",
+    "solve tip-shear using cg tol=1e-10",
+    "solve tip-shear using pcg",
+    "solve tip-shear using gauss-seidel",
+    "solve tip-shear using sor",
+    "solve tip-shear using jacobi tol=1e-6",
+    "modes 2",
+    "modes",
+    "stresses",
+    "show model",
+    "show displacements 3",
+    "show displacements",
+    "show peak",
+    "store panel",
+    "store panel if-rev=1",
+    "store panel if-rev=head",
+    "store results panel-results if-rev=0",
+    "retrieve panel rev=1",
+    "list",
+    "query kind=model prefix=pa min-rev=1 max-rev=9 limit=5",
+    "remove panel if-rev=1",
+    "history panel",
+    "begin",
+    "commit",
+    "abort",
+    "save plate.fem2",
+    "open plate.fem2",
+};
+constexpr std::size_t kCommandCount = std::size(kCommandCorpus);
+
+/// What every mutant starts from: the 8x4 plate, solved and stored.
+const char* const kPlateSetup[] = {"mesh plate nx=8 ny=4 load=5",
+                                   "solve tip-shear", "store panel"};
+
+/// What a numeric token is swapped for.
+const char* const kEdgeNumbers[] = {
+    "0", "-1", "18446744073709551615", "1e308", "nan", "inf", "0x10", ""};
+
+std::string join(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const auto& t : tokens) out += (out.empty() ? "" : " ") + t;
+  return out;
+}
+
+/// One random mutation of kCommandCorpus[which].
+std::string mutate_command(std::size_t which, support::Rng& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  std::string line = kCommandCorpus[which];
+  std::vector<std::string> tokens = support::split_ws(line);
+  switch (rng.next_below(5)) {
+    case 0:  // byte flips
+      for (std::size_t k = 1 + pick(4); k > 0; --k)
+        line[pick(line.size())] = static_cast<char>(rng.next_below(256));
+      return line;
+    case 1:  // dropped tokens
+      for (std::size_t k = 1 + pick(3); k > 0 && !tokens.empty(); --k)
+        tokens.erase(tokens.begin() +
+                     static_cast<std::ptrdiff_t>(pick(tokens.size())));
+      break;
+    case 2:  // duplicated tokens
+      for (std::size_t k = 1 + pick(3); k > 0; --k) {
+        const std::size_t at = pick(tokens.size());
+        const std::string token = tokens[at];
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(at), token);
+      }
+      break;
+    case 3: {  // the head of this line spliced onto the tail of another
+      const auto other = support::split_ws(kCommandCorpus[pick(kCommandCount)]);
+      tokens.resize(pick(tokens.size() + 1));
+      tokens.insert(tokens.end(),
+                    other.begin() +
+                        static_cast<std::ptrdiff_t>(pick(other.size() + 1)),
+                    other.end());
+      break;
+    }
+    default: {  // numbers swapped for edge values
+      std::vector<std::size_t> numeric;
+      for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const std::string& t = tokens[i];
+        const std::size_t eq = t.find('=');
+        if (support::parse_double(eq == std::string::npos ? t
+                                                          : t.substr(eq + 1)))
+          numeric.push_back(i);
+      }
+      if (numeric.empty()) numeric.push_back(pick(tokens.size()));
+      for (std::size_t k = 1 + pick(2); k > 0; --k) {
+        std::string& t = tokens[numeric[pick(numeric.size())]];
+        const std::size_t eq = t.find('=');
+        const std::string edge = kEdgeNumbers[pick(std::size(kEdgeNumbers))];
+        t = eq == std::string::npos ? edge : t.substr(0, eq + 1) + edge;
+      }
+      break;
+    }
+  }
+  return join(tokens);
+}
+
+struct CommandOutcomes {
+  std::size_t ok = 0;
+  std::size_t failed = 0;
+};
+
+/// Runs one line under the allocation watch; returns the largest single
+/// allocation it made.  Any exception fails the test.
+std::size_t watched(const std::function<Response()>& run,
+                    const std::string& line, CommandOutcomes& outcomes) {
+  g_largest_allocation = 0;
+  g_watch_allocations = true;
+  try {
+    const Response response = run();
+    g_watch_allocations = false;
+    ++(response.ok ? outcomes.ok : outcomes.failed);
+  } catch (const std::exception& e) {
+    g_watch_allocations = false;
+    ADD_FAILURE() << "threw " << e.what() << " on: " << escaped(line);
+  }
+  return g_largest_allocation;
+}
+
+/// `line` on a fresh console session holding the plate.
+std::size_t run_console(const std::string& line, CommandOutcomes& outcomes) {
+  Database db;
+  Session session(db);
+  for (const char* setup : kPlateSetup)
+    EXPECT_TRUE(session.execute(setup).ok) << setup;
+  return watched([&] { return session.execute(line); }, line, outcomes);
+}
+
+/// `line` on a fresh served session holding the plate, on a fresh server.
+std::size_t run_served(const std::string& line, CommandOutcomes& outcomes) {
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::Server server(std::make_shared<db::Engine>(), options);
+  const auto opened = server.open_session("fuzz", "mutant");
+  EXPECT_NE(opened.session, 0u);
+  for (const char* setup : kPlateSetup)
+    EXPECT_TRUE(server.call(opened.session, setup).ok) << setup;
+  return watched([&] { return server.call(opened.session, line); }, line,
+                 outcomes);
+}
+
+/// The largest single allocation of building the largest mesh of each kind
+/// that Session::kMaxMeshNodes admits.
+std::size_t largest_mesh_allocation() {
+  std::size_t largest = 0;
+  CommandOutcomes outcomes;
+  for (const std::string line :
+       {"mesh plate nx=49 ny=49", "mesh plate nx=49 ny=49 tri",
+        "mesh beam segments=2499", "mesh truss bays=1249"}) {
+    Database db;
+    Session session(db);
+    largest = std::max(
+        largest,
+        watched([&] { return session.execute(line); }, line, outcomes));
+  }
+  EXPECT_EQ(outcomes.ok, 4u);
+  return largest;
+}
+
+// One command line per mutant isolates the lexer and the parser.  Work
+// that takes two commands stays out of reach: `mesh truss bays=1249` then
+// `solve deck using skyline` is an 11 s sparse solve with no work bound
+// (ROADMAP item 3).
+TEST(CommandMutation, EveryLineEndsInAResponse) {
+  const std::size_t bound = largest_mesh_allocation();
+  CommandOutcomes outcomes;
+  const auto run = [&](const std::string& line) {
+    const auto tokens = support::split_ws(support::trim(line));
+    // Console sessions read and write host files; served ones refuse to.
+    if (tokens.empty() || (tokens[0] != "save" && tokens[0] != "open")) {
+      EXPECT_LE(run_console(line, outcomes), bound) << escaped(line);
+    }
+    EXPECT_LE(run_served(line, outcomes), bound) << escaped(line);
+    return !::testing::Test::HasFailure();
+  };
+  for (const char* line : kCommandCorpus) ASSERT_TRUE(run(line)) << line;
+  support::Rng rng(0x636d64);
+  for (int i = 0; i < 2'000; ++i) {
+    const std::string line = mutate_command(rng.next_below(kCommandCount), rng);
+    if (!run(line)) {
+      ADD_FAILURE() << "case " << i;
+      return;
+    }
+  }
+  // Both outcomes must be common, or the mutations test little.
+  EXPECT_GT(outcomes.ok, 800u);
+  EXPECT_GT(outcomes.failed, 800u);
+}
+
+}  // namespace
+}  // namespace fem2::appvm

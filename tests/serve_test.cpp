@@ -310,6 +310,37 @@ TEST(Serve, DensePathsRefuseOversizedModelsBeforeDensifying) {
   }
 }
 
+TEST(Serve, ModeCountsAboveTheLimitFailBeforeAssembling) {
+  // Served sessions share the console's mode count limit; a refused count
+  // is answered before the model is looked at and leaves it as it was.
+  Server server(memory_engine(), small_pool());
+  const auto opened = server.open_session("acme", "alice");
+  ASSERT_NE(opened.session, 0u);
+  const std::string over =
+      std::to_string(appvm::Session::kMaxModes + 1);
+  const std::string limit =
+      std::to_string(appvm::Session::kMaxModes) + " modes";
+  const auto refuse_all = [&] {
+    for (const std::string& line :
+         {"modes " + over, std::string("modes 1000"),
+          std::string("modes 18446744073709551615")}) {
+      const Response r = server.call(opened.session, line);
+      EXPECT_FALSE(r.ok) << line;
+      EXPECT_EQ(r.kind, Response::FailureKind::Other) << line;
+      EXPECT_NE(r.text.find(limit), std::string::npos) << r.text;
+    }
+  };
+  refuse_all();
+  ASSERT_TRUE(
+      server.call(opened.session, "mesh beam segments=10 length=1 load=5").ok);
+  const std::string model = server.call(opened.session, "show model").text;
+  refuse_all();
+  EXPECT_EQ(server.call(opened.session, "show model").text, model);
+  const Response at_limit = server.call(
+      opened.session, "modes " + std::to_string(appvm::Session::kMaxModes));
+  EXPECT_TRUE(at_limit.ok) << at_limit.text;
+}
+
 TEST(Serve, FullQueueAnswersOverloaded) {
   auto engine = memory_engine();
   ServerOptions options = small_pool(1);

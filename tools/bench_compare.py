@@ -41,6 +41,11 @@ Policy, matching the determinism story of the simulator:
   * --only restricts the comparison to the named experiments
     (comma-separated, e.g. --only E16), for jobs that run one driver
     rather than the whole harness.
+  * --update rewrites the baseline entry of each experiment it has a
+    valid report for and keeps every other entry as it was, so
+    `--update --only E16` adopts E16 alone.  A malformed report (or one
+    requested via --only but not found) leaves its entry untouched and
+    makes --update exit 1.
 
 Exit code 0 = ok (possibly with warnings), 1 = at least one failure.
 """
@@ -195,10 +200,13 @@ def main() -> int:
 
     if args.update:
         good = {k: v for k, v in reports.items() if v is not None}
-        args.baseline.write_text(json.dumps(good, indent=2) + "\n")
+        baseline = (json.loads(args.baseline.read_text())
+                    if args.baseline.exists() else {})
+        baseline.update(good)
+        args.baseline.write_text(json.dumps(baseline, indent=2) + "\n")
         print(f"baseline updated: {args.baseline} "
-              f"({len(good)} experiments)")
-        return 0
+              f"({len(good)} of {len(baseline)} experiments rewritten)")
+        return 0 if len(good) == len(reports) else 1
 
     if not args.baseline.exists():
         print(f"FAIL  baseline {args.baseline} missing "

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests for bench_compare.py's per-unit and missing-row verdicts.
+"""Tests for bench_compare.py's per-unit and missing-row verdicts and for
+--update.
 
 Each case writes a baseline and a current report, usually one row each,
 into a temporary directory, runs the gate on them and checks its verdict
@@ -182,6 +183,75 @@ class MissingRows(unittest.TestCase):
             [row("kept", 1, "cycles"), row("new", 2, "cycles")])
         self.assertEqual(code, 0, out)
         self.assertIn("warn  E0/new: not in baseline", out)
+
+
+
+def update_baseline(baseline: dict[str, dict], reports: dict[str, str],
+                    args: tuple[str, ...] = ()) -> tuple[int, str, dict]:
+    """Run --update over report files (experiment -> file text) against a
+    baseline; returns (exit code, stdout, the baseline afterwards)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for experiment, text in reports.items():
+            (root / f"BENCH_{experiment}.json").write_text(text)
+        (root / "baseline.json").write_text(json.dumps(baseline))
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), str(root), "--update",
+             "--baseline", str(root / "baseline.json"), *args],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        after = json.loads((root / "baseline.json").read_text())
+    return proc.returncode, proc.stdout, after
+
+
+def report(experiment: str, value: float) -> dict:
+    return {"experiment": experiment, "host_wall_ms": 1,
+            "rows": [row("m", value, "cycles")]}
+
+
+class Update(unittest.TestCase):
+
+    def test_rewrites_reported_experiments_and_keeps_the_rest(self):
+        baseline = {"E1": report("E1", 1), "E9": report("E9", 9)}
+        code, out, after = update_baseline(
+            baseline, {"E1": json.dumps(report("E1", 2))})
+        self.assertEqual(code, 0, out)
+        self.assertEqual(after, {"E1": report("E1", 2), "E9": report("E9", 9)})
+
+    def test_only_rewrites_the_named_experiment(self):
+        baseline = {"E1": report("E1", 1), "E16": report("E16", 16)}
+        code, out, after = update_baseline(
+            baseline, {"E1": json.dumps(report("E1", 2)),
+                       "E16": json.dumps(report("E16", 17))},
+            ("--only", "E16"))
+        self.assertEqual(code, 0, out)
+        self.assertEqual(after, {"E1": report("E1", 1),
+                                 "E16": report("E16", 17)})
+
+    def test_adopts_a_new_experiment(self):
+        code, out, after = update_baseline(
+            {"E1": report("E1", 1)}, {"E2": json.dumps(report("E2", 2))})
+        self.assertEqual(code, 0, out)
+        self.assertEqual(after, {"E1": report("E1", 1), "E2": report("E2", 2)})
+
+    def test_malformed_report_keeps_its_entry_and_fails(self):
+        baseline = {"E1": report("E1", 1), "E2": report("E2", 2)}
+        truncated = json.dumps(report("E1", 5))[:20]
+        for text in (truncated, "[]", json.dumps(dict(report("E1", 5),
+                                                      rows=[]))):
+            with self.subTest(text=text):
+                code, out, after = update_baseline(
+                    baseline, {"E1": text, "E2": json.dumps(report("E2", 3))})
+                self.assertEqual(code, 1, out)
+                self.assertIn("FAIL  BENCH_E1.json", out)
+                self.assertEqual(after, {"E1": report("E1", 1),
+                                         "E2": report("E2", 3)})
+
+    def test_only_with_a_missing_report_fails(self):
+        baseline = {"E1": report("E1", 1)}
+        code, out, after = update_baseline(
+            baseline, {"E1": json.dumps(report("E1", 2))}, ("--only", "E7"))
+        self.assertEqual(code, 1, out)
+        self.assertEqual(after, baseline)
 
 
 if __name__ == "__main__":
